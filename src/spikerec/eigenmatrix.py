@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     AllTruncated,
+    ConvergenceFailure,
     DegenerateDesign,
     IllConditionedShiftWarning,
     RankDeficient,
@@ -180,7 +181,7 @@ def recover_weights(
 def compute_svd_or_degenerate(design: np.ndarray):
     try:
         return compute_svd(design)
-    except Exception as exc:
+    except (ConvergenceFailure, ValueError) as exc:
         raise DegenerateDesign("weight design matrix has no usable spectrum") from exc
 
 

@@ -14,6 +14,10 @@ from enum import Enum
 
 import numpy as np
 
+# Imported eagerly: numpy loads numpy.random lazily, which would otherwise
+# put its import cost inside the first record's timing.
+from numpy.random import Generator, SeedSequence, default_rng
+
 from .errors import DegenerateColumn, DomainError, UnknownPreset
 
 PRESET_IDS = ("rational", "spectral", "fourier", "laplace", "deconv")
@@ -137,10 +141,10 @@ class CollocationSystem:
         return self.matrix.shape[1]
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
+def _rng(seed: int, stream: int) -> Generator:
     # One substream per purpose (0: sample draws, 1: noise draws) so that
     # sample sets and noise realizations are independently reproducible.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+    return default_rng(SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
 def eval_kernel(kernel: KernelDescriptor, s, x):

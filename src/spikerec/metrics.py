@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import SizeMismatch
 from .kernels import SpikeSignal
@@ -31,6 +30,10 @@ def _best_permutation(truth_locs: np.ndarray, rec_locs: np.ndarray) -> tuple:
             if c < best_cost:
                 best, best_cost = perm, c
         return best
+    # scipy.optimize is imported here, its only use, to keep it (and its
+    # import time) off `import spikerec`
+    from scipy.optimize import linear_sum_assignment
+
     _, cols = linear_sum_assignment(cost)
     return tuple(int(c) for c in cols)
 

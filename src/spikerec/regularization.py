@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import golden
 
 from .errors import AllTruncated, ConvergenceFailure, FlatCurveWarning
 
@@ -101,32 +100,68 @@ def _neg_curvature(gamma, s, abs_beta_sq, abs_xi_sq, perp_sq):
 
     Analytic first/second derivatives from the SVD expansion, following
     Hansen's regularization-tools formulation adapted to complex data.
+    `gamma` may be a scalar or an array; the rank axis is broadcast last,
+    so a scalar gives a float and a grid one value per gamma.
     """
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    out = np.empty_like(gamma)
-    for i, g in enumerate(gamma):
-        f = s**2 / (s**2 + g**2)
-        cf = 1.0 - f
-        eta = np.sqrt(np.sum(f**2 * abs_xi_sq))
-        rho = np.sqrt(np.sum(cf**2 * abs_beta_sq) + perp_sq)
-        f1 = -2.0 * f * cf / g
-        f2 = -f1 * (3.0 - 4.0 * f) / g
-        phi = np.sum(f * f1 * abs_xi_sq)
-        psi = np.sum(cf * f1 * abs_beta_sq)
-        dphi = np.sum((f1**2 + f * f2) * abs_xi_sq)
-        dpsi = np.sum((-(f1**2) + cf * f2) * abs_beta_sq)
-        deta = phi / eta
-        drho = -psi / rho
-        ddeta = dphi / eta - deta * (deta / eta)
-        ddrho = -dpsi / rho - drho * (drho / rho)
-        dlogeta = deta / eta
-        dlogrho = drho / rho
-        ddlogeta = ddeta / eta - dlogeta**2
-        ddlogrho = ddrho / rho - dlogrho**2
-        out[i] = -(dlogrho * ddlogeta - ddlogrho * dlogeta) / (
-            dlogrho**2 + dlogeta**2
-        ) ** 1.5
-    return out if out.size > 1 else float(out[0])
+    g = np.asarray(gamma, dtype=float)[..., None]
+    f = s**2 / (s**2 + g**2)
+    cf = 1.0 - f
+    eta = np.sqrt(np.sum(f**2 * abs_xi_sq, axis=-1))
+    rho = np.sqrt(np.sum(cf**2 * abs_beta_sq, axis=-1) + perp_sq)
+    f1 = -2.0 * f * cf / g
+    f2 = -f1 * (3.0 - 4.0 * f) / g
+    phi = np.sum(f * f1 * abs_xi_sq, axis=-1)
+    psi = np.sum(cf * f1 * abs_beta_sq, axis=-1)
+    dphi = np.sum((f1**2 + f * f2) * abs_xi_sq, axis=-1)
+    dpsi = np.sum((-(f1**2) + cf * f2) * abs_beta_sq, axis=-1)
+    deta = phi / eta
+    drho = -psi / rho
+    ddeta = dphi / eta - deta * (deta / eta)
+    ddrho = -dpsi / rho - drho * (drho / rho)
+    dlogeta = deta / eta
+    dlogrho = drho / rho
+    ddlogeta = ddeta / eta - dlogeta**2
+    ddlogrho = ddrho / rho - dlogrho**2
+    out = -(dlogrho * ddlogeta - ddlogrho * dlogeta) / (dlogrho**2 + dlogeta**2) ** 1.5
+    return float(out) if out.ndim == 0 else out
+
+
+_GOLDEN_R = 0.61803399  # golden ratio conjugate, as in scipy.optimize.golden
+_GOLDEN_C = 1.0 - _GOLDEN_R
+_GOLDEN_XTOL = float(np.sqrt(np.finfo(float).eps))
+_GOLDEN_MAXITER = 5000
+
+
+def _golden(func, xa, xb, xc):
+    """Golden-section minimizer of `func` from the bracket xa < xb < xc.
+
+    The loop, constants and tolerance of scipy.optimize.golden (scipy 1.17)
+    for a three-point bracket, so the result is bitwise the same; raises
+    ValueError when the triple does not bracket a minimum.
+    """
+    if not (xa < xb < xc):
+        raise ValueError("bracket must satisfy xa < xb < xc")
+    fa, fb, fc = func(xa), func(xb), func(xc)
+    if not (fb < fa and fb < fc):
+        raise ValueError("bracket must satisfy f(xb) < f(xa) and f(xb) < f(xc)")
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
+    else:
+        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
+    f1, f2 = func(x1), func(x2)
+    for _ in range(_GOLDEN_MAXITER):
+        if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
+            f2 = func(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
+            f1 = func(x1)
+    return x1 if f1 < f2 else x2
 
 
 def lcurve_gamma_grid(factors: SvdFactors, grid_size: int) -> np.ndarray:
@@ -177,9 +212,7 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray, grid_size: int = 200) ->
             return _neg_curvature(np.exp(lg), s, abs_beta_sq, abs_xi_sq, perp_sq)
 
         try:
-            lg_opt = golden(
-                objective, brack=(log_grid[idx - 1], log_grid[idx], log_grid[idx + 1])
-            )
+            lg_opt = _golden(objective, log_grid[idx - 1], log_grid[idx], log_grid[idx + 1])
             gamma = float(np.exp(lg_opt))
         except ValueError:
             pass  # degenerate bracket: keep the grid point

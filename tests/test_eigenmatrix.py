@@ -18,7 +18,8 @@ from spikerec import (
     synthesize,
     uniform_circle_nodes,
 )
-from spikerec.errors import AllTruncated, RankDeficient
+from spikerec.eigenmatrix import compute_svd_or_degenerate
+from spikerec.errors import AllTruncated, DegenerateDesign, RankDeficient
 from spikerec.kernels import CollocationSystem, Observations, SampleSet, SpikeSignal
 from spikerec.experiments import load_preset
 
@@ -226,6 +227,15 @@ class TestRecoverWeights:
         samples = SampleSet(np.array([2.0]))
         w = recover_weights(self.KERNEL, samples, np.array([0.0]), np.array([3.0]))
         assert w[0] == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("design", [np.zeros((3, 2)), np.array([[np.nan, 1.0]])])
+    def test_unusable_design_is_degenerate(self, design):
+        with pytest.raises(DegenerateDesign):
+            compute_svd_or_degenerate(design)
+
+    def test_programming_error_propagates(self):
+        with pytest.raises(TypeError):
+            compute_svd_or_degenerate(object())
 
 
 class TestRecoverPipeline:

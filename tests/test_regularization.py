@@ -1,9 +1,19 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import golden
 
+import spikerec
 from spikerec.errors import AllTruncated, FlatCurveWarning
+from spikerec.experiments import load_preset
+from spikerec.kernels import add_noise, build_collocation_system, synthesize
 from spikerec.regularization import (
     SvdFactors,
+    _golden,
+    _neg_curvature,
     compute_svd,
     lcurve_gamma_grid,
     lcurve_select,
@@ -213,3 +223,127 @@ class TestLcurve:
         f = compute_svd(random_complex(rng, (8, 4)))
         with pytest.raises(ValueError):
             lcurve_select(f, np.ones(8), grid_size=8)
+
+
+def neg_curvature_loop(gamma, s, abs_beta_sq, abs_xi_sq, perp_sq):
+    """The per-gamma loop that _neg_curvature replaced, kept as its reference."""
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    out = np.empty_like(gamma)
+    for i, g in enumerate(gamma):
+        f = s**2 / (s**2 + g**2)
+        cf = 1.0 - f
+        eta = np.sqrt(np.sum(f**2 * abs_xi_sq))
+        rho = np.sqrt(np.sum(cf**2 * abs_beta_sq) + perp_sq)
+        f1 = -2.0 * f * cf / g
+        f2 = -f1 * (3.0 - 4.0 * f) / g
+        phi = np.sum(f * f1 * abs_xi_sq)
+        psi = np.sum(cf * f1 * abs_beta_sq)
+        dphi = np.sum((f1**2 + f * f2) * abs_xi_sq)
+        dpsi = np.sum((-(f1**2) + cf * f2) * abs_beta_sq)
+        deta = phi / eta
+        drho = -psi / rho
+        ddeta = dphi / eta - deta * (deta / eta)
+        ddrho = -dpsi / rho - drho * (drho / rho)
+        dlogeta = deta / eta
+        dlogrho = drho / rho
+        ddlogeta = ddeta / eta - dlogeta**2
+        ddlogrho = ddrho / rho - dlogrho**2
+        out[i] = -(dlogrho * ddlogeta - ddlogrho * dlogeta) / (
+            dlogrho**2 + dlogeta**2
+        ) ** 1.5
+    return out if out.size > 1 else float(out[0])
+
+
+def curvature_args(factors, rhs):
+    s = factors.singular_values
+    beta = factors.left.conj().T @ rhs
+    perp_sq = max(float(np.linalg.norm(rhs) ** 2 - np.linalg.norm(beta) ** 2), 0.0)
+    abs_beta_sq = np.abs(beta) ** 2
+    return s, abs_beta_sq, abs_beta_sq / s**2, perp_sq
+
+
+@pytest.fixture(scope="module")
+def curvature_cases():
+    """(factors, rhs) pairs: two random spectra and two benchmark presets."""
+    rng = np.random.default_rng(15)
+    cases = []
+    for sigmas in (np.geomspace(1, 1e-9, 10), np.geomspace(1, 1e-14, 32)):
+        A = matrix_with_spectrum(rng, 48, sigmas.size, sigmas)
+        b = A @ random_complex(rng, sigmas.size)
+        b *= 1 + 0.05 * rng.standard_normal(48)
+        cases.append((compute_svd(A), b))
+    for pid, sigma in (("spectral", 1e-2), ("laplace", 1e-3)):
+        preset = load_preset(pid)
+        samples = preset.samples(0)
+        system = build_collocation_system(preset.kernel, samples, preset.nodes())
+        u = synthesize(preset.kernel, preset.truth, samples)
+        cases.append((compute_svd(system.normalized), add_noise(u, sigma, 0).noisy))
+    return cases
+
+
+class TestNegCurvature:
+    RTOL = 1e-12  # summation order differs from the loop; gap <= 3.1e-14 on the benchmark cells
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_grid_matches_loop(self, curvature_cases, case):
+        factors, rhs = curvature_cases[case]
+        args = curvature_args(factors, rhs)
+        grid = lcurve_gamma_grid(factors, 200)
+        got = _neg_curvature(grid, *args)
+        assert got.shape == grid.shape
+        np.testing.assert_allclose(got, neg_curvature_loop(grid, *args), rtol=self.RTOL)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_scalar_bitwise_equal_to_loop(self, curvature_cases, case):
+        factors, rhs = curvature_cases[case]
+        args = curvature_args(factors, rhs)
+        for g in lcurve_gamma_grid(factors, 37):
+            got = _neg_curvature(g, *args)
+            assert isinstance(got, float)
+            assert got == neg_curvature_loop(g, *args)
+            assert _neg_curvature(float(g), *args) == got
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "func, brack",
+        [
+            (lambda x: (x - 1.0) ** 2, (-1.0, 0.5, 2.0)),
+            (lambda x: np.cosh(x - 0.3) + 0.1 * x**3, (-2.0, 0.0, 1.5)),
+            (lambda x: abs(x + 1e-3), (-0.5, 0.01, 0.2)),
+        ],
+    )
+    def test_matches_scipy(self, func, brack):
+        assert _golden(func, *brack) == golden(func, brack=brack)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_matches_scipy_on_lcurve_objective(self, curvature_cases, case):
+        factors, rhs = curvature_cases[case]
+        args = curvature_args(factors, rhs)
+        log_grid = np.log(lcurve_gamma_grid(factors, 200))
+        neg = _neg_curvature(np.exp(log_grid), *args)
+        idx = int(np.argmin(neg))
+        assert 0 < idx < log_grid.size - 1
+        brack = (log_grid[idx - 1], log_grid[idx], log_grid[idx + 1])
+
+        def objective(lg):
+            return _neg_curvature(np.exp(lg), *args)
+
+        assert _golden(objective, *brack) == golden(objective, brack=brack)
+
+    @pytest.mark.parametrize("brack", [(0.0, 2.0, 1.0), (2.0, 0.5, -1.0), (0.0, 0.0, 1.0), (1.5, 2.0, 3.0)])
+    def test_non_bracketing_triple_rejected(self, brack):
+        with pytest.raises(ValueError):
+            _golden(lambda x: (x - 1.0) ** 2, *brack)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = Path(spikerec.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import spikerec, spikerec.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
