@@ -3,12 +3,14 @@
 from .eigenmatrix import (
     EigenmatrixOperator,
     MethodConfig,
+    PreparedSystem,
     RecoveryResult,
     Variant,
     build_eigenmatrix,
     esprit_extract,
     krylov_original,
     krylov_regularized,
+    prepare,
     recover,
     recover_weights,
 )

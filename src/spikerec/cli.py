@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import UnknownPreset
 from .experiments import emit_report, load_preset, make_method, run_sweep
 from .kernels import DEFAULT_BETA, PRESET_IDS
+
+CONFIG_KEYS = frozenset(("n_s", "n_a", "beta", "sigma_list", "l", "tol_factor", "grid_size"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,6 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {}
@@ -63,8 +71,12 @@ def main(argv=None) -> int:
             with open(args.config) as fh:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-            return 1
+            return _usage_error(f"cannot read config {args.config}: {exc}")
+        if not isinstance(overrides, dict):
+            return _usage_error(f"config {args.config} must hold a JSON object")
+        unknown = sorted(set(overrides) - CONFIG_KEYS)
+        if unknown:
+            return _usage_error(f"unknown config keys in {args.config}: {', '.join(unknown)}")
     beta = args.beta if args.beta is not None else overrides.get("beta", DEFAULT_BETA)
     try:
         preset = load_preset(
@@ -75,10 +87,15 @@ def main(argv=None) -> int:
             sigma_list=overrides.get("sigma_list"),
         )
     except UnknownPreset as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _usage_error(str(exc))
     sigmas = tuple(args.sigma) if args.sigma else preset.sigma_list
+    if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+        return _usage_error("every sigma must be finite and >= 0")
     seeds = args.seed_list if args.seed_list is not None else list(range(args.seeds))
+    if not seeds:
+        return _usage_error("--seeds must be >= 1")
+    if min(seeds) < 0:
+        return _usage_error("seeds must be >= 0")
     method_names = args.method or ["lcurve"]
     l = args.l if args.l is not None else overrides.get("l")
     tol_factor = overrides.get("tol_factor", args.tol_factor)
@@ -96,8 +113,7 @@ def main(argv=None) -> int:
             for name in method_names
         ]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _usage_error(str(exc))
     records = run_sweep(preset, methods, seeds, sigmas=sigmas)
     paths = emit_report(records, args.format, args.out, include_timing=not args.no_timing)
     for path in paths:

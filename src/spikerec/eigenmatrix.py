@@ -27,7 +27,14 @@ from .kernels import (
     build_collocation_system,
     eval_kernel,
 )
-from .regularization import compute_svd, lcurve_select, tikhonov_solve, truncated_pinv_apply
+from .regularization import (
+    LCURVE_MIN_GRID,
+    SvdFactors,
+    compute_svd,
+    lcurve_select,
+    tikhonov_solve,
+    truncated_pinv_apply,
+)
 
 RANK_TOL = 1e-13  # sigma_{n_x} below RANK_TOL * sigma_1 means rank-deficient A
 SHIFT_COND_LIMIT = 1e8
@@ -60,6 +67,8 @@ class MethodConfig:
             raise ValueError("need l > n_x")
         if self.tol_factor <= 0:
             raise ValueError("tol_factor must be positive")
+        if self.lcurve_grid_size < LCURVE_MIN_GRID:
+            raise ValueError(f"lcurve_grid_size must be >= {LCURVE_MIN_GRID}")
         if self.variant is Variant.REGULARIZED_FIXED_GAMMA and (
             self.gamma is None or self.gamma <= 0
         ):
@@ -72,6 +81,17 @@ class EigenmatrixOperator:
 
 
 @dataclass(frozen=True)
+class PreparedSystem:
+    """What depends only on the sample set: the collocation system and the
+    SVD of its normalized matrix, shared by every sigma and method."""
+
+    kernel: KernelDescriptor
+    samples: SampleSet
+    system: CollocationSystem
+    factors: SvdFactors
+
+
+@dataclass(frozen=True)
 class RecoveryResult:
     locations: np.ndarray
     weights: np.ndarray
@@ -79,11 +99,18 @@ class RecoveryResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def build_eigenmatrix(system: CollocationSystem, tol: float) -> EigenmatrixOperator:
-    """M = G-hat Lambda G-hat^dagger with the pseudo-inverse truncated at tol."""
+def build_eigenmatrix(
+    system: CollocationSystem, tol: float, factors: SvdFactors | None = None
+) -> EigenmatrixOperator:
+    """M = G-hat Lambda G-hat^dagger with the pseudo-inverse truncated at tol.
+
+    `factors` is the SVD of `system.normalized` when the caller has it
+    already; it is computed here otherwise.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    factors = compute_svd(system.normalized)
+    if factors is None:
+        factors = compute_svd(system.normalized)
     s = factors.singular_values
     keep = s >= tol
     if not np.any(keep):
@@ -193,35 +220,45 @@ def _project_locations(kernel: KernelDescriptor, raw: np.ndarray) -> np.ndarray:
     return raw
 
 
-def recover(
-    config: MethodConfig,
-    kernel: KernelDescriptor,
-    samples: SampleSet,
-    nodes: CollocationNodes,
-    obs: Observations,
-) -> RecoveryResult:
-    """Full pipeline for one noisy observation vector.
+def prepare(
+    kernel: KernelDescriptor, samples: SampleSet, nodes: CollocationNodes
+) -> PreparedSystem:
+    """Build the collocation system and factor it once for a sample set.
 
-    ORIGINAL_PINV builds the eigenmatrix explicitly with threshold
-    tol_factor * ||G-hat||_F; the regularized variants solve
-    G-hat v = u by Tikhonov (L-curve or fixed gamma) and assemble the
-    Krylov matrix M-free.
+    A failure carries the stage it happened in ("collocation" or "svd").
     """
     stage = "collocation"
     try:
         system = build_collocation_system(kernel, samples, nodes)
-        u = obs.noisy
-        diag: dict = {}
+        stage = "svd"
+        factors = compute_svd(system.normalized)
+    except Exception as exc:
+        exc.stage = stage
+        raise
+    return PreparedSystem(kernel=kernel, samples=samples, system=system, factors=factors)
+
+
+def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -> RecoveryResult:
+    """Full pipeline for one noisy observation vector on a prepared system.
+
+    ORIGINAL_PINV builds the eigenmatrix explicitly with threshold
+    tol_factor * ||G-hat||_F; the regularized variants solve
+    G-hat v = u by Tikhonov (L-curve or fixed gamma) and assemble the
+    Krylov matrix M-free.  Both filter the same shared SVD factors.
+    """
+    system, factors = prepared.system, prepared.factors
+    u = obs.noisy
+    diag: dict = {}
+    stage = "eigenmatrix"
+    try:
         if config.variant is Variant.ORIGINAL_PINV:
-            stage = "eigenmatrix"
             tol = config.tol_factor * float(np.linalg.norm(system.normalized, "fro"))
-            M = build_eigenmatrix(system, tol)
+            M = build_eigenmatrix(system, tol, factors)
             stage = "krylov"
             A = krylov_original(M, u, config.l)
             gamma_or_tol = tol
         else:
             stage = "tikhonov"
-            factors = compute_svd(system.normalized)
             if config.variant is Variant.REGULARIZED_LCURVE:
                 sol = lcurve_select(factors, u, grid_size=config.lcurve_grid_size)
             else:
@@ -235,9 +272,9 @@ def recover(
         raw, esprit_diag = esprit_extract(A, config.n_x, with_diagnostics=True)
         diag.update(esprit_diag)
         diag["raw_locations"] = raw
-        locations = _project_locations(kernel, raw)
+        locations = _project_locations(prepared.kernel, raw)
         stage = "weights"
-        weights = recover_weights(kernel, samples, locations, u)
+        weights = recover_weights(prepared.kernel, prepared.samples, locations, u)
     except Exception as exc:
         exc.stage = stage
         raise

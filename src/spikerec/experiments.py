@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigenmatrix import MethodConfig, Variant, recover
+from .eigenmatrix import MethodConfig, PreparedSystem, Variant, prepare, recover
 from .errors import UnknownPreset
 from .kernels import (
     DEFAULT_BETA,
@@ -51,7 +51,6 @@ class ExperimentPreset:
     truth: SpikeSignal
     n_s: int
     n_a: int
-    sample_law: str
     node_law: str
     sigma_list: tuple
     beta: float | None = None
@@ -132,7 +131,6 @@ def load_preset(
         truth=SpikeSignal(locs, ones),
         n_s=base_ns if n_s is None else n_s,
         n_a=32 if n_a is None else n_a,
-        sample_law=id,
         node_law=law,
         sigma_list=tuple(sigma_list) if sigma_list is not None else _default_sigmas(id),
         beta=beta if id == "spectral" else None,
@@ -143,33 +141,50 @@ def method_label(config: MethodConfig) -> str:
     return config.variant.value
 
 
+def _failed_record(preset, config, sigma, seed, exc, wall_ms) -> RunRecord:
+    return RunRecord(
+        preset=preset.id,
+        method=method_label(config),
+        sigma=sigma,
+        seed=seed,
+        location_error=float("nan"),
+        weight_error=float("nan"),
+        gamma_or_tol=float("nan"),
+        cond_v_minus=float("nan"),
+        svd_gap=float("nan"),
+        wall_time_ms=wall_ms,
+        failed_stage=getattr(exc, "stage", "unknown"),
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def run_one(
-    preset: ExperimentPreset, config: MethodConfig, sigma: float, seed: int, obs=None
+    preset: ExperimentPreset,
+    config: MethodConfig,
+    sigma: float,
+    seed: int,
+    obs=None,
+    prepared: PreparedSystem | None = None,
 ) -> RunRecord:
-    """Run one (method, sigma, seed) cell; failures land in the record."""
-    samples = preset.samples(seed)
+    """Run one (method, sigma, seed) cell; failures land in the record.
+
+    `prepared` is the seed's system from `prepare`, shared by a sweep's
+    cells and outside their wall time; without it the cell prepares its
+    own, inside its wall time.
+    """
+    samples = preset.samples(seed) if obs is None or prepared is None else None
     if obs is None:
         u = synthesize(preset.kernel, preset.truth, samples)
         obs = add_noise(u, sigma, seed)
-    nodes = preset.nodes()
+    nodes = preset.nodes() if prepared is None else None
     t0 = time.perf_counter()
     try:
-        result = recover(config, preset.kernel, samples, nodes, obs)
+        if prepared is None:
+            prepared = prepare(preset.kernel, samples, nodes)
+        result = recover(config, prepared, obs)
     except Exception as exc:
-        return RunRecord(
-            preset=preset.id,
-            method=method_label(config),
-            sigma=sigma,
-            seed=seed,
-            location_error=float("nan"),
-            weight_error=float("nan"),
-            gamma_or_tol=float("nan"),
-            cond_v_minus=float("nan"),
-            svd_gap=float("nan"),
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            failed_stage=getattr(exc, "stage", "unknown"),
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        wall = (time.perf_counter() - t0) * 1e3
+        return _failed_record(preset, config, sigma, seed, exc, wall)
     wall = (time.perf_counter() - t0) * 1e3
     errors = match_and_error(preset.truth, result)
     return RunRecord(
@@ -189,18 +204,38 @@ def run_one(
 
 
 def run_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> list:
-    """All (sigma, seed, method) cells; one noise draw shared per (sigma, seed)."""
+    """All (sigma, seed, method) cells; one noise draw shared per (sigma, seed).
+
+    Seeds run outermost.  The collocation system and its SVD depend only on
+    the sample set, so one `prepare` serves every cell of a seed, and of the
+    following seeds while their sample points stay the same.  If `prepare`
+    fails, every cell of that seed is a failed record.
+    """
     if not methods or not len(seeds):
         raise ValueError("need at least one method and one seed")
     sigmas = preset.sigma_list if sigmas is None else tuple(sigmas)
+    nodes = preset.nodes()
     records = []
-    for sigma in sigmas:
-        for seed in seeds:
-            samples = preset.samples(seed)
-            u = synthesize(preset.kernel, preset.truth, samples)
+    prepared = None
+    for seed in seeds:
+        samples = preset.samples(seed)
+        u = synthesize(preset.kernel, preset.truth, samples)
+        failure = None
+        if prepared is None or not np.array_equal(samples.points, prepared.samples.points):
+            t0 = time.perf_counter()
+            try:
+                prepared = prepare(preset.kernel, samples, nodes)
+            except Exception as exc:
+                prepared, failure = None, exc
+                wall = (time.perf_counter() - t0) * 1e3
+        for sigma in sigmas:
             obs = add_noise(u, sigma, seed)
             for config in methods:
-                records.append(run_one(preset, config, sigma, seed, obs=obs))
+                if failure is None:
+                    rec = run_one(preset, config, sigma, seed, obs=obs, prepared=prepared)
+                else:
+                    rec = _failed_record(preset, config, sigma, seed, failure, wall)
+                records.append(rec)
     records.sort(key=RunRecord.sort_key)
     return records
 

@@ -17,6 +17,7 @@ from .errors import AllTruncated, ConvergenceFailure, FlatCurveWarning
 
 LCURVE_FLOOR = 1e-12  # lower grid bound as a multiple of sigma_1
 SVD_DROP = 1e-15  # singular values below SVD_DROP * sigma_1 are discarded
+LCURVE_MIN_GRID = 16  # fewest gamma grid points the corner scan accepts
 
 
 @dataclass(frozen=True)
@@ -104,25 +105,35 @@ def _neg_curvature(gamma, s, abs_beta_sq, abs_xi_sq, perp_sq):
     so a scalar gives a float and a grid one value per gamma.
     """
     g = np.asarray(gamma, dtype=float)[..., None]
-    f = s**2 / (s**2 + g**2)
+    s_sq = s * s
+    f = s_sq / (s_sq + g * g)
     cf = 1.0 - f
-    eta = np.sqrt(np.sum(f**2 * abs_xi_sq, axis=-1))
-    rho = np.sqrt(np.sum(cf**2 * abs_beta_sq, axis=-1) + perp_sq)
     f1 = -2.0 * f * cf / g
     f2 = -f1 * (3.0 - 4.0 * f) / g
-    phi = np.sum(f * f1 * abs_xi_sq, axis=-1)
-    psi = np.sum(cf * f1 * abs_beta_sq, axis=-1)
-    dphi = np.sum((f1**2 + f * f2) * abs_xi_sq, axis=-1)
-    dpsi = np.sum((-(f1**2) + cf * f2) * abs_beta_sq, axis=-1)
+    f1_sq = f1 * f1
+    # One reduction for all six sums: the golden-section refinement calls
+    # this with a scalar gamma, where NumPy call overhead dominates.  Squares
+    # are products because a scalar's ** 2 may go through libm pow, which
+    # can differ from x * x in the last bit.
+    terms = np.stack((
+        f * f * abs_xi_sq, cf * cf * abs_beta_sq,
+        f * f1 * abs_xi_sq, cf * f1 * abs_beta_sq,
+        (f1_sq + f * f2) * abs_xi_sq, (-f1_sq + cf * f2) * abs_beta_sq,
+    ))
+    eta_sq, rho_sq, phi, psi, dphi, dpsi = terms.sum(axis=-1)
+    eta = np.sqrt(eta_sq)
+    rho = np.sqrt(rho_sq + perp_sq)
     deta = phi / eta
     drho = -psi / rho
     ddeta = dphi / eta - deta * (deta / eta)
     ddrho = -dpsi / rho - drho * (drho / rho)
     dlogeta = deta / eta
     dlogrho = drho / rho
-    ddlogeta = ddeta / eta - dlogeta**2
-    ddlogrho = ddrho / rho - dlogrho**2
-    out = -(dlogrho * ddlogeta - ddlogrho * dlogeta) / (dlogrho**2 + dlogeta**2) ** 1.5
+    ddlogeta = ddeta / eta - dlogeta * dlogeta
+    ddlogrho = ddrho / rho - dlogrho * dlogrho
+    out = -(dlogrho * ddlogeta - ddlogrho * dlogeta) / (
+        dlogrho * dlogrho + dlogeta * dlogeta
+    ) ** 1.5
     return float(out) if out.ndim == 0 else out
 
 
@@ -181,8 +192,8 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray, grid_size: int = 200) ->
     """
     if factors.rank < 2:
         raise ValueError("L-curve selection needs at least two singular values")
-    if grid_size < 16:
-        raise ValueError("grid_size must be >= 16")
+    if grid_size < LCURVE_MIN_GRID:
+        raise ValueError(f"grid_size must be >= {LCURVE_MIN_GRID}")
     rhs = np.asarray(rhs, dtype=complex)
     s = factors.singular_values
     rhs_norm = float(np.linalg.norm(rhs))

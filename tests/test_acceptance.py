@@ -23,6 +23,7 @@ from spikerec import (
     load_preset,
     make_method,
     match_and_error,
+    prepare,
     recover,
     run_sweep,
     synthesize,
@@ -178,8 +179,9 @@ def test_criterion_4_noise_free_recovery():
         preset = load_preset(pid)
         samples = preset.samples(0)
         obs = add_noise(synthesize(preset.kernel, preset.truth, samples), 0.0, 0)
+        prepared = prepare(preset.kernel, samples, preset.nodes())
         for cfg in configs:
-            res = recover(cfg, preset.kernel, samples, preset.nodes(), obs)
+            res = recover(cfg, prepared, obs)
             errs = match_and_error(preset.truth, res)
             this_ok = errs.location_error <= bound and errs.weight_error <= bound
             ok = ok and this_ok

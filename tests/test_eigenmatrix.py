@@ -13,6 +13,7 @@ from spikerec import (
     esprit_extract,
     krylov_original,
     krylov_regularized,
+    prepare,
     recover,
     recover_weights,
     synthesize,
@@ -249,8 +250,8 @@ class TestRecoverPipeline:
     def test_deterministic_bitwise(self):
         preset, samples, obs = self._setup("rational", 1e-2, 5)
         cfg = MethodConfig(Variant.REGULARIZED_LCURVE, n_x=4)
-        r1 = recover(cfg, preset.kernel, samples, preset.nodes(), obs)
-        r2 = recover(cfg, preset.kernel, samples, preset.nodes(), obs)
+        r1 = recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs)
+        r2 = recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs)
         np.testing.assert_array_equal(r1.locations, r2.locations)
         np.testing.assert_array_equal(r1.weights, r2.weights)
         assert r1.gamma_or_tol == r2.gamma_or_tol
@@ -261,12 +262,12 @@ class TestRecoverPipeline:
         # the recovered locations and must scale the weights
         preset, samples, obs = self._setup("rational", 1e-2, 3)
         cfg = MethodConfig(variant, n_x=4)
-        r1 = recover(cfg, preset.kernel, samples, preset.nodes(), obs)
+        r1 = recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs)
         c = 7.5
         obs2 = Observations(
             exact=obs.exact * c, noisy=obs.noisy * c, sigma=obs.sigma, seed=obs.seed
         )
-        r2 = recover(cfg, preset.kernel, samples, preset.nodes(), obs2)
+        r2 = recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs2)
         np.testing.assert_allclose(
             np.sort_complex(r1.locations), np.sort_complex(r2.locations), rtol=1e-6
         )
@@ -277,7 +278,7 @@ class TestRecoverPipeline:
     def test_interval_projection_clips_real_part(self):
         preset, samples, obs = self._setup("laplace", 5e-3, 2)
         cfg = MethodConfig(Variant.REGULARIZED_LCURVE, n_x=4)
-        res = recover(cfg, preset.kernel, samples, preset.nodes(), obs)
+        res = recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs)
         lo, hi = preset.kernel.domain.lo, preset.kernel.domain.hi
         assert np.all(res.locations.imag == 0)
         assert np.all((res.locations.real >= lo) & (res.locations.real <= hi))
@@ -287,7 +288,7 @@ class TestRecoverPipeline:
         preset, samples, obs = self._setup("rational", 1e-2, 0)
         cfg = MethodConfig(Variant.ORIGINAL_PINV, n_x=4, tol_factor=10.0)
         with pytest.raises(AllTruncated) as exc_info:
-            recover(cfg, preset.kernel, samples, preset.nodes(), obs)
+            recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs)
         assert exc_info.value.stage == "eigenmatrix"
 
 
@@ -307,3 +308,7 @@ class TestMethodConfig:
     def test_bad_tol_factor(self):
         with pytest.raises(ValueError):
             MethodConfig(Variant.ORIGINAL_PINV, n_x=4, tol_factor=-1.0)
+
+    def test_bad_grid_size(self):
+        with pytest.raises(ValueError):
+            MethodConfig(Variant.REGULARIZED_LCURVE, n_x=4, lcurve_grid_size=15)

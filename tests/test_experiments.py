@@ -11,8 +11,10 @@ from spikerec import (
     run_sweep,
     synthesize,
 )
+from spikerec import eigenmatrix, experiments
 from spikerec.cli import main as cli_main
-from spikerec.errors import UnknownPreset
+from spikerec.errors import ConvergenceFailure, UnknownPreset
+from spikerec.kernels import SampleSet
 from spikerec.experiments import CSV_COLUMNS, emit_report
 
 
@@ -75,19 +77,48 @@ class TestRunSweep:
         assert keys == sorted(keys)
 
     def test_shared_noise_across_methods(self):
-        # both methods in a cell must see the identical noisy vector; check
-        # by reproducing one method's record from an explicit observation
+        # every method in a cell must see the identical noisy vector and the
+        # sweep's shared system must give what a cell preparing its own
+        # gives; check by reproducing each record from an explicit observation
         p = load_preset("deconv")
-        methods = [make_method("lcurve"), make_method("pinv")]
-        recs = run_sweep(p, methods, seeds=[7], sigmas=[1e-2])
+        methods = [
+            make_method("lcurve"), make_method("pinv"), make_method("fixed-gamma", gamma=1e-3)
+        ]
+        sigmas = [1e-2, 1e-1]
+        recs = run_sweep(p, methods, seeds=[7], sigmas=sigmas)
+        assert len(recs) == len(methods) * len(sigmas)
         samples = p.samples(7)
-        obs = add_noise(synthesize(p.kernel, p.truth, samples), 1e-2, 7)
-        for m in methods:
-            direct = run_one(p, m, 1e-2, 7, obs=obs)
-            match = [r for r in recs if r.method == direct.method]
-            assert len(match) == 1
-            assert match[0].location_error == direct.location_error
-            assert match[0].gamma_or_tol == direct.gamma_or_tol
+        for sigma in sigmas:
+            obs = add_noise(synthesize(p.kernel, p.truth, samples), sigma, 7)
+            for m in methods:
+                direct = run_one(p, m, sigma, 7, obs=obs)
+                match = [r for r in recs if (r.method, r.sigma) == (direct.method, sigma)]
+                assert len(match) == 1
+                assert match[0].failed_stage is None
+                assert match[0].location_error == direct.location_error
+                assert match[0].weight_error == direct.weight_error
+                assert match[0].gamma_or_tol == direct.gamma_or_tol
+                assert match[0].locations == direct.locations
+                assert match[0].weights == direct.weights
+
+    @pytest.mark.parametrize("pid, seeds, builds", [("spectral", 3, 1), ("rational", 3, 3)])
+    def test_one_factorisation_per_sample_set(self, monkeypatch, pid, seeds, builds):
+        # spectral samples do not depend on the seed, rational ones do
+        calls = {"build_collocation_system": 0, "compute_svd": 0}
+        for name in calls:
+            real = getattr(eigenmatrix, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(eigenmatrix, name, counted)
+        p = load_preset(pid, sigma_list=(1e-2, 1e-1))
+        recs = run_sweep(p, [make_method("lcurve"), make_method("pinv")], seeds=range(seeds))
+        assert all(r.failed_stage is None for r in recs)
+        assert calls["build_collocation_system"] == builds
+        # one collocation SVD per build, one weight SVD per record
+        assert calls["compute_svd"] == builds + len(recs)
 
     def test_empty_inputs_rejected(self):
         p = load_preset("fourier")
@@ -95,6 +126,65 @@ class TestRunSweep:
             run_sweep(p, [], seeds=[0])
         with pytest.raises(ValueError):
             run_sweep(p, [make_method("lcurve")], seeds=[])
+
+
+def _samples_on_node(monkeypatch, bad_seeds):
+    """Put the first sample point of `bad_seeds` on the collocation node 1."""
+    real = experiments.generate_samples
+
+    def fake(preset, seed, **kw):
+        samples = real(preset, seed, **kw)
+        if seed not in bad_seeds:
+            return samples
+        points = samples.points.copy()
+        points[0] = 1.0
+        return SampleSet(points)
+
+    monkeypatch.setattr(experiments, "generate_samples", fake)
+
+
+class TestSharedStageFailure:
+    METHODS = ("lcurve", "pinv")
+    SIGMAS = (1e-2, 1e-1)
+
+    def _sweep(self):
+        p = load_preset("rational", sigma_list=self.SIGMAS)
+        return run_sweep(p, [make_method(m) for m in self.METHODS], seeds=[0, 1, 2])
+
+    def test_collocation_failure_fails_every_cell_of_the_seed(self, monkeypatch):
+        _samples_on_node(monkeypatch, {1})
+        recs = self._sweep()
+        assert len(recs) == 3 * len(self.METHODS) * len(self.SIGMAS)
+        failed = [r for r in recs if r.failed_stage is not None]
+        assert {r.seed for r in failed} == {1}
+        assert len(failed) == len(self.METHODS) * len(self.SIGMAS)
+        assert all(r.failed_stage == "collocation" for r in failed)
+        assert all(r.error.startswith("DomainError") for r in failed)
+        assert all(np.isnan(r.location_error) for r in failed)
+
+    def test_svd_failure_is_stage_svd(self, monkeypatch):
+        def no_convergence(matrix):
+            raise ConvergenceFailure("SVD failed to converge")
+
+        monkeypatch.setattr(eigenmatrix, "compute_svd", no_convergence)
+        recs = self._sweep()
+        assert recs and all(r.failed_stage == "svd" for r in recs)
+        assert all(r.error.startswith("ConvergenceFailure") for r in recs)
+
+    def test_run_one_records_its_own_preparation_failure(self, monkeypatch):
+        _samples_on_node(monkeypatch, {0})
+        rec = run_one(load_preset("rational"), make_method("pinv"), 1e-2, 0)
+        assert rec.failed_stage == "collocation"
+
+    def test_cli_exit_two(self, monkeypatch, tmp_path):
+        _samples_on_node(monkeypatch, {0})
+        rc = cli_main(
+            [
+                "--preset", "rational", "--method", "lcurve", "--method", "pinv",
+                "--sigma", "0.01", "--seeds", "2", "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +285,34 @@ class TestCli:
         b1 = (tmp_path / "r1" / "records.csv").read_bytes()
         b2 = (tmp_path / "r2" / "records.csv").read_bytes()
         assert b1 == b2
+
+    @pytest.mark.parametrize(
+        "extra, config",
+        [
+            (["--seeds", "0"], None),
+            (["--seed-list", "3", "-1"], None),
+            (["--sigma", "-1"], None),
+            (["--sigma", "nan"], None),
+            (["--grid-size", "5"], None),
+            ([], {"bogus": 3}),
+            ([], {"sigma_list": [0.1, -0.1]}),
+            ([], [1, 2]),
+        ],
+        ids=[
+            "no-seeds", "negative-seed", "negative-sigma", "nan-sigma", "grid-size-5",
+            "unknown-config-key", "negative-config-sigma", "config-not-object",
+        ],
+    )
+    def test_bad_input_exit_one(self, tmp_path, capsys, extra, config):
+        argv = ["--preset", "fourier", "--out", str(tmp_path / "out")] + extra
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_config_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
