@@ -1,7 +1,6 @@
 """Sparse spike recovery via eigenmatrix and regularized eigenmatrix methods."""
 
 from .eigenmatrix import (
-    EigenmatrixOperator,
     MethodConfig,
     PreparedSystem,
     RecoveryResult,

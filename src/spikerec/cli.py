@@ -63,6 +63,32 @@ def _usage_error(message: str) -> int:
     return 1
 
 
+def _is_finite(x) -> bool:
+    # bool is an int subclass; ints need no isfinite (and overflow it if huge)
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or isinstance(x, float) and math.isfinite(x)
+
+
+def _value_error(values: dict, preset: str) -> str | None:
+    """What is wrong with the first unusable flag or config value, or None."""
+    for key, value in values.items():
+        if key in ("n_s", "n_a", "l", "grid_size"):
+            ok = isinstance(value, int) and not isinstance(value, bool) and value >= 1
+            want = "a positive integer"
+        elif key in ("beta", "tol_factor"):
+            ok = _is_finite(value) and value > 0
+            want = "a positive finite number"
+        else:  # sigma_list
+            ok = isinstance(value, list) and value and all(_is_finite(x) and x >= 0 for x in value)
+            want = "a non-empty list of finite numbers >= 0"
+        if not ok:
+            return f"{key} must be {want}, not {value!r}"
+    if preset == "spectral" and values.get("n_s", 0) % 2:
+        return "the spectral preset needs an even n_s"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {}
@@ -77,6 +103,12 @@ def main(argv=None) -> int:
         unknown = sorted(set(overrides) - CONFIG_KEYS)
         if unknown:
             return _usage_error(f"unknown config keys in {args.config}: {', '.join(unknown)}")
+    flags = {"tol_factor": args.tol_factor}
+    if args.beta is not None:
+        flags["beta"] = args.beta
+    problem = _value_error(flags, args.preset) or _value_error(overrides, args.preset)
+    if problem:
+        return _usage_error(problem)
     beta = args.beta if args.beta is not None else overrides.get("beta", DEFAULT_BETA)
     try:
         preset = load_preset(
@@ -89,7 +121,7 @@ def main(argv=None) -> int:
     except UnknownPreset as exc:
         return _usage_error(str(exc))
     sigmas = tuple(args.sigma) if args.sigma else preset.sigma_list
-    if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+    if not all(_is_finite(s) and s >= 0 for s in sigmas):
         return _usage_error("every sigma must be finite and >= 0")
     seeds = args.seed_list if args.seed_list is not None else list(range(args.seeds))
     if not seeds:

@@ -12,7 +12,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    AllTruncated,
     ConvergenceFailure,
     DegenerateDesign,
     IllConditionedShiftWarning,
@@ -33,6 +32,7 @@ from .regularization import (
     compute_svd,
     lcurve_select,
     tikhonov_solve,
+    truncate,
     truncated_pinv_apply,
 )
 
@@ -76,11 +76,6 @@ class MethodConfig:
 
 
 @dataclass(frozen=True)
-class EigenmatrixOperator:
-    matrix: np.ndarray  # n_s x n_s
-
-
-@dataclass(frozen=True)
 class PreparedSystem:
     """What depends only on the sample set: the collocation system and the
     SVD of its normalized matrix, shared by every sigma and method."""
@@ -101,26 +96,21 @@ class RecoveryResult:
 
 def build_eigenmatrix(
     system: CollocationSystem, tol: float, factors: SvdFactors | None = None
-) -> EigenmatrixOperator:
-    """M = G-hat Lambda G-hat^dagger with the pseudo-inverse truncated at tol.
+) -> np.ndarray:
+    """The n_s x n_s matrix M = G-hat Lambda G-hat^dagger, with the
+    pseudo-inverse truncated at tol.
 
     `factors` is the SVD of `system.normalized` when the caller has it
     already; it is computed here otherwise.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if factors is None:
         factors = compute_svd(system.normalized)
-    s = factors.singular_values
-    keep = s >= tol
-    if not np.any(keep):
-        raise AllTruncated(f"tolerance {tol:g} exceeds sigma_1 = {s[0]:g}")
-    pinv = (factors.right[:, keep] / s[keep]) @ factors.left[:, keep].conj().T
-    M = system.normalized @ (system.nodes[:, None] * pinv)
-    return EigenmatrixOperator(matrix=M)
+    left, s, right = truncate(factors, tol)
+    pinv = (right / s) @ left.conj().T
+    return system.normalized @ (system.nodes[:, None] * pinv)
 
 
-def krylov_original(M: EigenmatrixOperator, u_noisy: np.ndarray, l: int) -> np.ndarray:
+def krylov_original(M: np.ndarray, u_noisy: np.ndarray, l: int) -> np.ndarray:
     """A = [u, M u, ..., M^l u] by repeated matrix-vector products."""
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -128,7 +118,7 @@ def krylov_original(M: EigenmatrixOperator, u_noisy: np.ndarray, l: int) -> np.n
     A = np.empty((u_noisy.size, l + 1), dtype=complex)
     A[:, 0] = u_noisy
     for k in range(1, l + 1):
-        A[:, k] = M.matrix @ A[:, k - 1]
+        A[:, k] = M @ A[:, k - 1]
     return A
 
 
@@ -183,7 +173,7 @@ def esprit_extract(A: np.ndarray, n_x: int, with_diagnostics: bool = False):
     if with_diagnostics:
         gap = float(s[n_x] / s[n_x - 1]) if s.size > n_x and s[n_x - 1] > 0 else 0.0
         diag = {
-            "cond_v_minus": cond_minus,
+            "condV_minus": cond_minus,
             "svd_gap": gap,
             "rank_retained": n_x,
         }

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,18 +30,7 @@ from .kernels import (
 )
 from .metrics import match_and_error
 
-CSV_COLUMNS = (
-    "preset",
-    "method",
-    "sigma",
-    "seed",
-    "location_error",
-    "weight_error",
-    "gamma_or_tol",
-    "condV_minus",
-    "svd_gap",
-    "wall_time_ms",
-)
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -68,16 +57,23 @@ class ExperimentPreset:
 
 @dataclass
 class RunRecord:
+    """One (preset, method, sigma, seed) cell: the report schema.
+
+    The JSON keys are these fields in order and the CSV columns the fields
+    up to `wall_time_ms`.  A failed run keeps the NaN defaults and says why
+    in `failed_stage` and `error`.
+    """
+
     preset: str
     method: str
     sigma: float
     seed: int
-    location_error: float
-    weight_error: float
-    gamma_or_tol: float
-    cond_v_minus: float
-    svd_gap: float
-    wall_time_ms: float
+    location_error: float = _NAN
+    weight_error: float = _NAN
+    gamma_or_tol: float = _NAN
+    condV_minus: float = _NAN
+    svd_gap: float = _NAN
+    wall_time_ms: float = 0.0
     locations: list = field(default_factory=list)  # [re, im] pairs
     weights: list = field(default_factory=list)
     failed_stage: str | None = None
@@ -86,6 +82,10 @@ class RunRecord:
     def sort_key(self):
         # canonical output order regardless of execution order
         return (self.preset, self.sigma, self.seed, self.method)
+
+
+_NAMES = tuple(f.name for f in fields(RunRecord))
+CSV_COLUMNS = _NAMES[: _NAMES.index("wall_time_ms") + 1]
 
 
 def _default_sigmas(preset_id: str) -> tuple:
@@ -137,21 +137,9 @@ def load_preset(
     )
 
 
-def method_label(config: MethodConfig) -> str:
-    return config.variant.value
-
-
 def _failed_record(preset, config, sigma, seed, exc, wall_ms) -> RunRecord:
     return RunRecord(
-        preset=preset.id,
-        method=method_label(config),
-        sigma=sigma,
-        seed=seed,
-        location_error=float("nan"),
-        weight_error=float("nan"),
-        gamma_or_tol=float("nan"),
-        cond_v_minus=float("nan"),
-        svd_gap=float("nan"),
+        preset.id, config.variant.value, sigma, seed,
         wall_time_ms=wall_ms,
         failed_stage=getattr(exc, "stage", "unknown"),
         error=f"{type(exc).__name__}: {exc}",
@@ -188,15 +176,12 @@ def run_one(
     wall = (time.perf_counter() - t0) * 1e3
     errors = match_and_error(preset.truth, result)
     return RunRecord(
-        preset=preset.id,
-        method=method_label(config),
-        sigma=sigma,
-        seed=seed,
+        preset.id, config.variant.value, sigma, seed,
         location_error=errors.location_error,
         weight_error=errors.weight_error,
         gamma_or_tol=result.gamma_or_tol,
-        cond_v_minus=result.diagnostics.get("cond_v_minus", float("nan")),
-        svd_gap=result.diagnostics.get("svd_gap", float("nan")),
+        condV_minus=result.diagnostics["condV_minus"],
+        svd_gap=result.diagnostics["svd_gap"],
         wall_time_ms=wall,
         locations=[[z.real, z.imag] for z in result.locations],
         weights=[[z.real, z.imag] for z in result.weights],
@@ -240,29 +225,9 @@ def run_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> list:
     return records
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}i"
-
-
-def _csv_row(r: RunRecord, include_timing: bool) -> str:
-    wall = r.wall_time_ms if include_timing else 0.0
-    vals = (
-        r.preset,
-        r.method,
-        _fmt(r.sigma),
-        str(r.seed),
-        _fmt(r.location_error),
-        _fmt(r.weight_error),
-        _fmt(r.gamma_or_tol),
-        _fmt(r.cond_v_minus),
-        _fmt(r.svd_gap),
-        _fmt(wall),
-    )
-    return ",".join(vals)
+def _csv_cell(value) -> str:
+    # floats at full precision; str and int fields as they are
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def emit_report(records, format: str, outdir, include_timing: bool = True) -> list:
@@ -272,37 +237,20 @@ def emit_report(records, format: str, outdir, include_timing: bool = True) -> li
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+        if format == "plotdata":
+            return _emit_plotdata(records, outdir)
+        # vars(), not dataclasses.asdict: its deep copy doubles the JSON time
+        objs = [vars(r) if include_timing else {**vars(r), "wall_time_ms": 0.0} for r in records]
         if format == "csv":
             path = outdir / "records.csv"
             lines = [",".join(CSV_COLUMNS)]
-            lines += [_csv_row(r, include_timing) for r in records]
+            lines += [",".join(_csv_cell(obj[c]) for c in CSV_COLUMNS) for obj in objs]
             path.write_text("\n".join(lines) + "\n")
             return [path]
         if format == "json":
             path = outdir / "records.json"
-            objs = []
-            for r in records:
-                obj = {
-                    "preset": r.preset,
-                    "method": r.method,
-                    "sigma": r.sigma,
-                    "seed": r.seed,
-                    "location_error": r.location_error,
-                    "weight_error": r.weight_error,
-                    "gamma_or_tol": r.gamma_or_tol,
-                    "condV_minus": r.cond_v_minus,
-                    "svd_gap": r.svd_gap,
-                    "wall_time_ms": r.wall_time_ms if include_timing else 0.0,
-                    "locations": r.locations,
-                    "weights": r.weights,
-                    "failed_stage": r.failed_stage,
-                    "error": r.error,
-                }
-                objs.append(obj)
             path.write_text(json.dumps(objs, indent=1, allow_nan=True) + "\n")
             return [path]
-        if format == "plotdata":
-            return _emit_plotdata(records, outdir)
         raise ValueError(f"unknown report format {format!r}")
     except OSError as exc:
         raise OSError(f"failed writing report under {outdir}: {exc}") from exc
@@ -344,9 +292,10 @@ def make_method(
     gamma: float | None = None,
     grid_size: int = 200,
 ) -> MethodConfig:
-    variant = {v.value: v for v in Variant}.get(name)
-    if variant is None:
-        raise ValueError(f"unknown method {name!r}")
+    try:
+        variant = Variant(name)
+    except ValueError:
+        raise ValueError(f"unknown method {name!r}") from None
     return MethodConfig(
         variant=variant,
         n_x=n_x,

@@ -63,16 +63,25 @@ def compute_svd(matrix: np.ndarray) -> SvdFactors:
     )
 
 
-def truncated_pinv_apply(factors: SvdFactors, tol: float, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution restricted to singular directions with sigma >= tol."""
+def truncate(factors: SvdFactors, tol: float) -> tuple:
+    """(left, singular values, right) of the directions with sigma >= tol.
+
+    Boolean-mask indexing copies the kept columns; slicing views instead
+    would change BLAS round-off in the products built from them.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     s = factors.singular_values
     keep = s >= tol
     if not np.any(keep):
         raise AllTruncated(f"tolerance {tol:g} exceeds sigma_1 = {s[0]:g}")
-    coeff = factors.left[:, keep].conj().T @ rhs
-    return factors.right[:, keep] @ (coeff / s[keep])
+    return factors.left[:, keep], s[keep], factors.right[:, keep]
+
+
+def truncated_pinv_apply(factors: SvdFactors, tol: float, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution restricted to singular directions with sigma >= tol."""
+    left, s, right = truncate(factors, tol)
+    return right @ ((left.conj().T @ rhs) / s)
 
 
 def _tikhonov_from_coeffs(factors, beta, perp_sq, gamma):

@@ -15,7 +15,7 @@ from spikerec import eigenmatrix, experiments
 from spikerec.cli import main as cli_main
 from spikerec.errors import ConvergenceFailure, UnknownPreset
 from spikerec.kernels import SampleSet
-from spikerec.experiments import CSV_COLUMNS, emit_report
+from spikerec.experiments import emit_report
 
 
 class TestLoadPreset:
@@ -187,6 +187,31 @@ class TestSharedStageFailure:
         assert rc == 2
 
 
+CSV_HEADER = (
+    "preset,method,sigma,seed,location_error,weight_error,gamma_or_tol,"
+    "condV_minus,svd_gap,wall_time_ms"
+)
+FAILED_PINV_JSON = """ },
+ {
+  "preset": "rational",
+  "method": "pinv",
+  "sigma": 0.01,
+  "seed": 0,
+  "location_error": NaN,
+  "weight_error": NaN,
+  "gamma_or_tol": NaN,
+  "condV_minus": NaN,
+  "svd_gap": NaN,
+  "wall_time_ms": 0.0,
+  "locations": [],
+  "weights": [],
+  "failed_stage": "eigenmatrix",
+  "error": "AllTruncated: tolerance 56.5685 exceeds sigma_1 = 4.22443"
+ }
+]
+"""
+
+
 @pytest.fixture(scope="module")
 def records():
     p = load_preset("fourier", sigma_list=(1e-2,))
@@ -198,8 +223,29 @@ class TestEmitReport:
         paths = emit_report(records[:1], "csv", tmp_path)
         lines = paths[0].read_text().splitlines()
         assert len(lines) == 2
-        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert lines[0] == CSV_HEADER
         assert lines[1].startswith("fourier,lcurve,")
+
+    def test_json_key_order(self, records, tmp_path):
+        paths = emit_report(records[:1], "json", tmp_path)
+        objs = json.loads(paths[0].read_text())
+        assert list(objs[0]) == CSV_HEADER.split(",") + [
+            "locations", "weights", "failed_stage", "error"
+        ]
+
+    def test_failed_record_bytes_without_timing(self, tmp_path):
+        # no benchmark or oracle record fails, so pin a failed record's bytes here
+        argv = [
+            "--preset", "rational", "--method", "pinv", "--method", "lcurve",
+            "--tol-factor", "10", "--sigma", "0.01", "--seeds", "1", "--no-timing",
+        ]
+        for fmt in ("csv", "json"):
+            assert cli_main(argv + ["--format", fmt, "--out", str(tmp_path)]) == 2
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert lines[1].startswith("rational,lcurve,0.01,0,")
+        assert lines[2:] == ["rational,pinv,0.01,0,nan,nan,nan,nan,nan,0"]
+        assert (tmp_path / "records.json").read_text().endswith(FAILED_PINV_JSON)
 
     def test_json_round_trip(self, records, tmp_path):
         paths = emit_report(records, "json", tmp_path)
@@ -297,10 +343,25 @@ class TestCli:
             ([], {"bogus": 3}),
             ([], {"sigma_list": [0.1, -0.1]}),
             ([], [1, 2]),
+            (["--preset", "spectral"], {"n_s": 3}),
+            ([], {"n_s": "x"}),
+            ([], {"n_a": 0}),
+            ([], {"sigma_list": "ab"}),
+            ([], {"sigma_list": []}),
+            ([], {"tol_factor": "a"}),
+            ([], {"l": "7"}),
+            ([], {"grid_size": 20.5}),
+            ([], {"n_s": True}),
+            ([], {"beta": -1}),
+            (["--beta", "-1"], None),
+            (["--tol-factor", "nan"], None),
         ],
         ids=[
             "no-seeds", "negative-seed", "negative-sigma", "nan-sigma", "grid-size-5",
             "unknown-config-key", "negative-config-sigma", "config-not-object",
+            "odd-spectral-n_s", "string-n_s", "zero-n_a", "string-sigma-list",
+            "empty-sigma-list", "string-tol-factor", "string-l", "float-grid-size",
+            "bool-n_s", "negative-config-beta", "negative-beta", "nan-tol-factor",
         ],
     )
     def test_bad_input_exit_one(self, tmp_path, capsys, extra, config):
