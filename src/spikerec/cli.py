@@ -42,14 +42,14 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--seeds", type=int, default=20, help="use seeds 0..N-1")
     group.add_argument("--seed-list", type=int, nargs="+", help="explicit seeds")
-    p.add_argument("--l", type=int, default=None, help="Krylov parameter (default n_x+2)")
-    p.add_argument("--tol-factor", type=float, default=1e-4)
+    p.add_argument("--l", type=int, help="Krylov parameter (default n_x+2)")
+    p.add_argument("--tol-factor", type=float, help="pinv cutoff / Frobenius norm (default 1e-4)")
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None, help="Matsubara beta (spectral)")
-    p.add_argument("--grid-size", type=int, default=200, help="L-curve gamma grid points")
+    p.add_argument("--beta", type=float, help="Matsubara beta (spectral)")
+    p.add_argument("--grid-size", type=int, help="L-curve gamma grid points (default 200)")
     p.add_argument("--out", default="results")
     p.add_argument("--format", choices=("csv", "json", "plotdata"), default="csv")
-    p.add_argument("--config", default=None, help="JSON file overriding preset fields")
+    p.add_argument("--config", default=None, help="JSON file of settings; flags win over it")
     p.add_argument(
         "--no-timing",
         action="store_true",
@@ -103,20 +103,19 @@ def main(argv=None) -> int:
         unknown = sorted(set(overrides) - CONFIG_KEYS)
         if unknown:
             return _usage_error(f"unknown config keys in {args.config}: {', '.join(unknown)}")
-    flags = {"tol_factor": args.tol_factor}
-    if args.beta is not None:
-        flags["beta"] = args.beta
+    flags = {k: getattr(args, k) for k in ("beta", "l", "tol_factor", "grid_size")}
+    flags = {k: v for k, v in flags.items() if v is not None}
     problem = _value_error(flags, args.preset) or _value_error(overrides, args.preset)
     if problem:
         return _usage_error(problem)
-    beta = args.beta if args.beta is not None else overrides.get("beta", DEFAULT_BETA)
+    settings = {**overrides, **flags}  # a flag given on the command line wins
     try:
         preset = load_preset(
             args.preset,
-            beta=beta,
-            n_s=overrides.get("n_s"),
-            n_a=overrides.get("n_a"),
-            sigma_list=overrides.get("sigma_list"),
+            beta=settings.get("beta", DEFAULT_BETA),
+            n_s=settings.get("n_s"),
+            n_a=settings.get("n_a"),
+            sigma_list=settings.get("sigma_list"),
         )
     except UnknownPreset as exc:
         return _usage_error(str(exc))
@@ -129,19 +128,10 @@ def main(argv=None) -> int:
     if min(seeds) < 0:
         return _usage_error("seeds must be >= 0")
     method_names = args.method or ["lcurve"]
-    l = args.l if args.l is not None else overrides.get("l")
-    tol_factor = overrides.get("tol_factor", args.tol_factor)
-    grid_size = overrides.get("grid_size", args.grid_size)
+    method_args = {k: settings[k] for k in ("l", "tol_factor", "grid_size") if k in settings}
     try:
         methods = [
-            make_method(
-                name,
-                n_x=preset.truth.n_x,
-                l=l,
-                tol_factor=tol_factor,
-                gamma=args.gamma,
-                grid_size=grid_size,
-            )
+            make_method(name, n_x=preset.truth.n_x, gamma=args.gamma, **method_args)
             for name in method_names
         ]
     except ValueError as exc:

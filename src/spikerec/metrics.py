@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -20,16 +21,20 @@ class ErrorPair:
     matching: tuple  # matching[k] = index of recovered spike paired with truth k
 
 
+@cache
+def _permutations(n: int) -> np.ndarray:
+    """Permutations of range(n), one per row in lexicographic order (shared: read only)."""
+    return np.array(list(permutations(range(n))))
+
+
 def _best_permutation(truth_locs: np.ndarray, rec_locs: np.ndarray) -> tuple:
     n = truth_locs.size
     cost = np.abs(truth_locs[:, None] - rec_locs[None, :]) ** 2
     if n <= EXHAUSTIVE_LIMIT:
-        best, best_cost = None, np.inf
-        for perm in permutations(range(n)):
-            c = cost[np.arange(n), perm].sum()
-            if c < best_cost:
-                best, best_cost = perm, c
-        return best
+        # all permutations in lexicographic order; argmin takes the first
+        # minimum, so a tie keeps the earliest permutation
+        perms = _permutations(n)
+        return tuple(perms[np.argmin(cost[np.arange(n), perms].sum(axis=1))].tolist())
     # scipy.optimize is imported here, its only use, to keep it (and its
     # import time) off `import spikerec`
     from scipy.optimize import linear_sum_assignment

@@ -105,31 +105,33 @@ def tikhonov_solve(factors: SvdFactors, rhs: np.ndarray, gamma: float) -> Tikhon
     return TikhonovSolution(v=v, gamma=float(gamma), residual_norm=res, solution_norm=sol)
 
 
-def _neg_curvature(gamma, s, abs_beta_sq, abs_xi_sq, perp_sq):
+def _neg_curvature(gamma, s_sq, weights, perp_sq):
     """Negative curvature of (log residual, log solution) at gamma.
 
     Analytic first/second derivatives from the SVD expansion, following
     Hansen's regularization-tools formulation adapted to complex data.
-    `gamma` may be a scalar or an array; the rank axis is broadcast last,
-    so a scalar gives a float and a grid one value per gamma.
+    `s_sq` is s * s and `weights` the (6, r) stack (|xi|^2, |beta|^2) * 3.
+    A scalar `gamma` gives a float, a 1-D grid one value per gamma.
     """
-    g = np.asarray(gamma, dtype=float)[..., None]
-    s_sq = s * s
-    f = s_sq / (s_sq + g * g)
+    if isinstance(gamma, np.ndarray):
+        gamma, weights = gamma[:, None], weights[:, None]
+    f = s_sq / (s_sq + gamma * gamma)
     cf = 1.0 - f
-    f1 = -2.0 * f * cf / g
-    f2 = -f1 * (3.0 - 4.0 * f) / g
+    f1 = -2.0 * f * cf / gamma
+    f2 = -f1 * (3.0 - 4.0 * f) / gamma
     f1_sq = f1 * f1
-    # One reduction for all six sums: the golden-section refinement calls
-    # this with a scalar gamma, where NumPy call overhead dominates.  Squares
-    # are products because a scalar's ** 2 may go through libm pow, which
-    # can differ from x * x in the last bit.
-    terms = np.stack((
-        f * f * abs_xi_sq, cf * cf * abs_beta_sq,
-        f * f1 * abs_xi_sq, cf * f1 * abs_beta_sq,
-        (f1_sq + f * f2) * abs_xi_sq, (-f1_sq + cf * f2) * abs_beta_sq,
-    ))
+    # Few ufunc calls and one reduction: the golden refinement calls this
+    # with a scalar gamma, where NumPy call overhead dominates.  Products and
+    # sums keep the reference's operand order (bitwise equal), and squares
+    # are products since a scalar's ** 2 may go through libm pow.
+    terms = np.array((f, cf) * 3)
+    terms *= np.array((f, cf, f1, f1, f2, f2))
+    terms[4] += f1_sq
+    terms[5] -= f1_sq
+    terms *= weights
     eta_sq, rho_sq, phi, psi, dphi, dpsi = terms.sum(axis=-1)
+    # NumPy scalars from here on: 0/0 and overflow stay NaN/inf, and a
+    # scalar ** 1.5 is libm pow (an array's may differ in the last bit).
     eta = np.sqrt(eta_sq)
     rho = np.sqrt(rho_sq + perp_sq)
     deta = phi / eta
@@ -140,10 +142,9 @@ def _neg_curvature(gamma, s, abs_beta_sq, abs_xi_sq, perp_sq):
     dlogrho = drho / rho
     ddlogeta = ddeta / eta - dlogeta * dlogeta
     ddlogrho = ddrho / rho - dlogrho * dlogrho
-    out = -(dlogrho * ddlogeta - ddlogrho * dlogeta) / (
+    return -(dlogrho * ddlogeta - ddlogrho * dlogeta) / (
         dlogrho * dlogrho + dlogeta * dlogeta
     ) ** 1.5
-    return float(out) if out.ndim == 0 else out
 
 
 _GOLDEN_R = 0.61803399  # golden ratio conjugate, as in scipy.optimize.golden
@@ -156,8 +157,9 @@ def _golden(func, xa, xb, xc):
     """Golden-section minimizer of `func` from the bracket xa < xb < xc.
 
     The loop, constants and tolerance of scipy.optimize.golden (scipy 1.17)
-    for a three-point bracket, so the result is bitwise the same; raises
-    ValueError when the triple does not bracket a minimum.
+    for a three-point bracket, so the result is bitwise the same, with one
+    evaluation fewer: f(xb) is reused as f(x1) or f(x2).  Raises ValueError
+    when the triple does not bracket a minimum.
     """
     if not (xa < xb < xc):
         raise ValueError("bracket must satisfy xa < xb < xc")
@@ -167,9 +169,10 @@ def _golden(func, xa, xb, xc):
     x0, x3 = xa, xc
     if abs(xc - xb) > abs(xb - xa):
         x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
+        f1, f2 = fb, func(x2)
     else:
         x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
-    f1, f2 = func(x1), func(x2)
+        f1, f2 = func(x1), fb
     for _ in range(_GOLDEN_MAXITER):
         if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
             break
@@ -215,9 +218,10 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray, grid_size: int = 200) ->
     beta = factors.left.conj().T @ rhs
     perp_sq = max(rhs_norm**2 - float(np.linalg.norm(beta) ** 2), 0.0)
     abs_beta_sq = np.abs(beta) ** 2
-    abs_xi_sq = abs_beta_sq / s**2
+    s_sq = s * s
+    weights = np.array((abs_beta_sq / s_sq, abs_beta_sq) * 3)
     grid = lcurve_gamma_grid(factors, grid_size)
-    neg = _neg_curvature(grid, s, abs_beta_sq, abs_xi_sq, perp_sq)
+    neg = _neg_curvature(grid, s_sq, weights, perp_sq)
     idx = int(np.argmin(neg))
     flagged = idx == 0 or idx == grid.size - 1
     gamma = grid[idx]
@@ -229,7 +233,7 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray, grid_size: int = 200) ->
         log_grid = np.log(grid)
 
         def objective(lg):
-            return _neg_curvature(np.exp(lg), s, abs_beta_sq, abs_xi_sq, perp_sq)
+            return _neg_curvature(float(np.exp(lg)), s_sq, weights, perp_sq)
 
         try:
             lg_opt = _golden(objective, log_grid[idx - 1], log_grid[idx], log_grid[idx + 1])

@@ -375,6 +375,25 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags, config, code",
+        [
+            # the flag's cutoff truncates every direction: all runs fail
+            (["--method", "pinv", "--tol-factor", "10"], {"tol_factor": 1e-4}, 2),
+            # the config's grid alone is below the L-curve minimum
+            (["--method", "lcurve", "--grid-size", "200"], {"grid_size": 8}, 0),
+        ],
+        ids=["tol-factor", "grid-size"],
+    )
+    def test_flag_wins_over_config(self, tmp_path, flags, config, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [
+            "--preset", "rational", "--seeds", "1", "--sigma", "0.01",
+            "--config", str(cfg), "--out", str(tmp_path / "out"),
+        ]
+        assert cli_main(argv + flags) == code
+
     def test_config_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_s": 64, "sigma_list": [0.01]}))

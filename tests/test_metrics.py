@@ -1,14 +1,49 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from spikerec import ErrorPair, SpikeSignal, match_and_error
 from spikerec.errors import SizeMismatch
+from spikerec.metrics import _best_permutation
 
 
 class Recovered:
     def __init__(self, locations, weights):
         self.locations = np.asarray(locations, dtype=complex)
         self.weights = np.asarray(weights, dtype=complex)
+
+
+def best_permutation_loop(truth_locs, rec_locs):
+    """The per-permutation loop that _best_permutation replaced, kept as its reference."""
+    n = truth_locs.size
+    cost = np.abs(truth_locs[:, None] - rec_locs[None, :]) ** 2
+    best, best_cost = None, np.inf
+    for perm in permutations(range(n)):
+        c = cost[np.arange(n), perm].sum()
+        if c < best_cost:
+            best, best_cost = perm, c
+    return best
+
+
+class TestBestPermutation:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_loop(self, n):
+        rng = np.random.default_rng(n)
+        for i in range(300):
+            if i % 3:
+                truth = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                rec = truth[rng.permutation(n)] + 0.5 * rng.standard_normal(n)
+            else:  # integer points make equal-cost permutations common
+                truth = rng.integers(0, 3, n) + 0j
+                rec = rng.integers(0, 3, n) + 0j
+            got = _best_permutation(truth, rec)
+            assert got == best_permutation_loop(truth, rec)
+            assert all(type(k) is int for k in got)
+
+    def test_tie_keeps_first_permutation(self):
+        # both assignments cost 0.5; the identity comes first
+        assert _best_permutation(np.array([0, 1.0 + 0j]), np.array([0.5, 0.5 + 0j])) == (0, 1)
 
 
 class TestMatchAndError:
