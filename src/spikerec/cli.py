@@ -119,6 +119,10 @@ def main(argv=None) -> int:
         )
     except UnknownPreset as exc:
         return _usage_error(str(exc))
+    # ESPRIT needs n_x sample rows, and rank(A) <= rank(G-hat) <= n_a
+    for key in ("n_s", "n_a"):
+        if getattr(preset, key) < preset.truth.n_x:
+            return _usage_error(f"{key} must be >= the spike count {preset.truth.n_x}")
     sigmas = tuple(args.sigma) if args.sigma else preset.sigma_list
     if not all(_is_finite(s) and s >= 0 for s in sigmas):
         return _usage_error("every sigma must be finite and >= 0")

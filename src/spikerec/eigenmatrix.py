@@ -69,10 +69,10 @@ class MethodConfig:
             raise ValueError("tol_factor must be positive")
         if self.lcurve_grid_size < LCURVE_MIN_GRID:
             raise ValueError(f"lcurve_grid_size must be >= {LCURVE_MIN_GRID}")
-        if self.variant is Variant.REGULARIZED_FIXED_GAMMA and (
-            self.gamma is None or self.gamma <= 0
+        if self.variant is Variant.REGULARIZED_FIXED_GAMMA and not (
+            self.gamma is not None and 0 < self.gamma < np.inf  # False for NaN
         ):
-            raise ValueError("fixed-gamma variant needs gamma > 0")
+            raise ValueError("fixed-gamma variant needs a finite gamma > 0")
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,6 @@ class KernelDescriptor:
     kind: Kind
     domain: Domain
 
-    @property
-    def has_pole(self) -> bool:
-        return self.kind in (Kind.RATIONAL, Kind.SPECTRAL_RATIONAL)
-
 
 @dataclass(frozen=True)
 class SpikeSignal:

@@ -32,9 +32,6 @@ class SvdFactors:
     def rank(self) -> int:
         return self.singular_values.size
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.conj().T
-
 
 @dataclass(frozen=True)
 class TikhonovSolution:
@@ -96,8 +93,8 @@ def _tikhonov_from_coeffs(factors, beta, perp_sq, gamma):
 
 def tikhonov_solve(factors: SvdFactors, rhs: np.ndarray, gamma: float) -> TikhonovSolution:
     """Minimizer of ||G v - rhs||^2 + gamma^2 ||v||^2 via SVD filter factors."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:  # False for NaN
+        raise ValueError("gamma must be finite and positive")
     rhs = np.asarray(rhs, dtype=complex)
     beta = factors.left.conj().T @ rhs
     perp_sq = max(float(np.linalg.norm(rhs) ** 2 - np.linalg.norm(beta) ** 2), 0.0)
@@ -120,7 +117,7 @@ def _neg_curvature(gamma, s_sq, weights, perp_sq):
     f1 = -2.0 * f * cf / gamma
     f2 = -f1 * (3.0 - 4.0 * f) / gamma
     f1_sq = f1 * f1
-    # Few ufunc calls and one reduction: the golden refinement calls this
+    # Few ufunc calls and one reduction: the Brent refinement calls this
     # with a scalar gamma, where NumPy call overhead dominates.  Products and
     # sums keep the reference's operand order (bitwise equal), and squares
     # are products since a scalar's ** 2 may go through libm pow.
@@ -147,44 +144,74 @@ def _neg_curvature(gamma, s_sq, weights, perp_sq):
     ) ** 1.5
 
 
-_GOLDEN_R = 0.61803399  # golden ratio conjugate, as in scipy.optimize.golden
-_GOLDEN_C = 1.0 - _GOLDEN_R
-_GOLDEN_XTOL = float(np.sqrt(np.finfo(float).eps))
-_GOLDEN_MAXITER = 5000
+_BRENT_CG = 0.3819660  # golden-section fraction, as in scipy.optimize.Brent
+_BRENT_TOL = 1.48e-8
+_BRENT_MINTOL = 1.0e-11
+_BRENT_MAXITER = 500
 
 
-def _golden(func, xa, xb, xc):
-    """Golden-section minimizer of `func` from the bracket xa < xb < xc.
+def _brent(func, xa, xb, xc, fa, fb, fc):
+    """Brent's minimizer of `func` from the bracket xa < xb < xc.
 
-    The loop, constants and tolerance of scipy.optimize.golden (scipy 1.17)
-    for a three-point bracket, so the result is bitwise the same, with one
-    evaluation fewer: f(xb) is reused as f(x1) or f(x2).  Raises ValueError
-    when the triple does not bracket a minimum.
+    Parabolic interpolation with golden-section fallback (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5): the loop,
+    constants and tolerances of scipy.optimize.Brent.optimize (scipy 1.17).
+    The caller passes fa, fb, fc = func(xa), func(xb), func(xc), which it
+    may already hold; with them the result is bitwise scipy's, three
+    evaluations fewer.  Raises ValueError when the triple does not bracket a
+    minimum (unlike scipy, a decreasing triple is not swapped).
     """
     if not (xa < xb < xc):
         raise ValueError("bracket must satisfy xa < xb < xc")
-    fa, fb, fc = func(xa), func(xb), func(xc)
     if not (fb < fa and fb < fc):
         raise ValueError("bracket must satisfy f(xb) < f(xa) and f(xb) < f(xc)")
-    x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
-        f1, f2 = fb, func(x2)
-    else:
-        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
-        f1, f2 = func(x1), fb
-    for _ in range(_GOLDEN_MAXITER):
-        if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
+    a, b = xa, xc
+    x = w = v = xb
+    fx = fw = fv = fb
+    deltax = rat = 0.0
+    for _ in range(_BRENT_MAXITER):
+        tol1 = _BRENT_TOL * abs(x) + _BRENT_MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < tol2 - 0.5 * (b - a):
             break
-        if f2 < f1:
-            x0, x1, f1 = x1, x2, f2
-            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
-            f2 = func(x2)
+        golden = abs(deltax) <= tol1
+        if not golden:  # parabola through (x, fx), (w, fw), (v, fv)
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp, deltax = deltax, rat
+            golden = not (
+                tmp2 * (a - x) < p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp)
+            )
+            if not golden:
+                rat = p / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+        if golden:
+            deltax = (a if x >= xmid else b) - x
+            rat = _BRENT_CG * deltax
+        if abs(rat) < tol1:  # step by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
         else:
-            x3, x2, f2 = x2, x1, f1
-            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
-            f1 = func(x1)
-    return x1 if f1 < f2 else x2
+            u = x + rat
+        fu = func(u)
+        if fu > fx:  # u narrows the bracket
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:  # u is the best point so far, x narrows the bracket
+            a, b = (x, b) if u >= x else (a, x)
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+    return x
 
 
 def lcurve_gamma_grid(factors: SvdFactors, grid_size: int) -> np.ndarray:
@@ -197,10 +224,10 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray, grid_size: int = 200) ->
     """Tikhonov solution at the maximum-curvature corner of the L-curve.
 
     Scans a log-spaced gamma grid over [max(sigma_r, 1e-12*sigma_1),
-    sigma_1], then refines the interior curvature maximum by golden-section
-    search over the two neighboring grid cells.  If the curvature has no
-    interior maximum the endpoint solution is returned with the flagged
-    bit set (FlatCurveWarning).
+    sigma_1], then refines the interior curvature maximum by Brent's method
+    over the two neighboring grid cells.  If the curvature has no interior
+    maximum the endpoint solution is returned with the flagged bit set
+    (FlatCurveWarning).
     """
     if factors.rank < 2:
         raise ValueError("L-curve selection needs at least two singular values")
@@ -230,13 +257,16 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray, grid_size: int = 200) ->
             "L-curve curvature has no interior maximum", FlatCurveWarning, stacklevel=2
         )
     else:
-        log_grid = np.log(grid)
+        # the bracket's curvatures come from the grid pass, so Brent starts
+        # without evaluating; argmin puts neg[idx] strictly below its left
+        # neighbour, and a tie on the right raises and keeps the grid point
+        lo, mid, hi = np.log(grid[idx - 1 : idx + 2])
 
         def objective(lg):
             return _neg_curvature(float(np.exp(lg)), s_sq, weights, perp_sq)
 
         try:
-            lg_opt = _golden(objective, log_grid[idx - 1], log_grid[idx], log_grid[idx + 1])
+            lg_opt = _brent(objective, lo, mid, hi, *neg[idx - 1 : idx + 2])
             gamma = float(np.exp(lg_opt))
         except ValueError:
             pass  # degenerate bracket: keep the grid point

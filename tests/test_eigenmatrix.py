@@ -303,6 +303,11 @@ class TestMethodConfig:
         with pytest.raises(ValueError):
             MethodConfig(Variant.REGULARIZED_FIXED_GAMMA, n_x=4)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_fixed_gamma_must_be_finite_and_positive(self, gamma):
+        with pytest.raises(ValueError):
+            MethodConfig(Variant.REGULARIZED_FIXED_GAMMA, n_x=4, gamma=gamma)
+
     def test_bad_tol_factor(self):
         with pytest.raises(ValueError):
             MethodConfig(Variant.ORIGINAL_PINV, n_x=4, tol_factor=-1.0)

@@ -355,6 +355,10 @@ class TestCli:
             ([], {"beta": -1}),
             (["--beta", "-1"], None),
             (["--tol-factor", "nan"], None),
+            (["--method", "fixed-gamma", "--gamma", "nan"], None),
+            (["--method", "fixed-gamma", "--gamma", "inf"], None),
+            ([], {"n_s": 3}),
+            ([], {"n_a": 3}),
         ],
         ids=[
             "no-seeds", "negative-seed", "negative-sigma", "nan-sigma", "grid-size-5",
@@ -362,6 +366,7 @@ class TestCli:
             "odd-spectral-n_s", "string-n_s", "zero-n_a", "string-sigma-list",
             "empty-sigma-list", "string-tol-factor", "string-l", "float-grid-size",
             "bool-n_s", "negative-config-beta", "negative-beta", "nan-tol-factor",
+            "nan-gamma", "inf-gamma", "n_s-below-n_x", "n_a-below-n_x",
         ],
     )
     def test_bad_input_exit_one(self, tmp_path, capsys, extra, config):
@@ -374,6 +379,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["n_s", "n_a"])
+    def test_sizes_at_model_order_run(self, tmp_path, key):
+        # fourier has n_x = 4 spikes: 4 runs, 3 exits 1 (test_bad_input_exit_one)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 4}))
+        argv = [
+            "--preset", "fourier", "--method", "pinv", "--method", "lcurve",
+            "--seeds", "1", "--sigma", "0.01", "--config", str(cfg),
+            "--out", str(tmp_path / "out"),
+        ]
+        assert cli_main(argv) == 0
 
     @pytest.mark.parametrize(
         "flags, config, code",

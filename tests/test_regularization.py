@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import golden
+from scipy.optimize import brent
 
 import spikerec
 import spikerec.eigenmatrix
@@ -13,7 +13,7 @@ from spikerec.experiments import load_preset, make_method, run_sweep
 from spikerec.kernels import add_noise, build_collocation_system, synthesize
 from spikerec.regularization import (
     SvdFactors,
-    _golden,
+    _brent,
     _neg_curvature,
     compute_svd,
     lcurve_gamma_grid,
@@ -46,7 +46,7 @@ class TestComputeSvd:
         rng = np.random.default_rng(0)
         A = random_complex(rng, (6, 4))
         f = compute_svd(A)
-        np.testing.assert_allclose(f.reconstruct(), A, rtol=1e-12)
+        np.testing.assert_allclose((f.left * f.singular_values) @ f.right.conj().T, A, rtol=1e-12)
 
     def test_orthonormal_factors(self):
         rng = np.random.default_rng(1)
@@ -99,6 +99,11 @@ class TestTikhonov:
         b = np.array([1.0, -2.0, 0.5j])
         sol = tikhonov_solve(f, b, 0.7)
         np.testing.assert_allclose(sol.v, b / (1 + 0.49), rtol=1e-14)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        with pytest.raises(ValueError):
+            tikhonov_solve(compute_svd(np.eye(3)), np.ones(3), gamma)
 
     def test_matches_dense_normal_equation(self):
         rng = np.random.default_rng(4)
@@ -320,6 +325,12 @@ def counted(func):
 
 
 class TestGolden:
+    """`_brent`: golden-section steps accelerated by parabolic interpolation.
+
+    The class keeps the name of the golden-section port `_brent` replaced,
+    so the ids of these cases stay the same across that change.
+    """
+
     @pytest.mark.parametrize(
         "func, brack",
         [
@@ -331,8 +342,9 @@ class TestGolden:
     def test_matches_scipy(self, func, brack):
         ours, our_calls = counted(func)
         theirs, their_calls = counted(func)
-        assert _golden(ours, *brack) == golden(theirs, brack=brack)
-        assert len(our_calls) == len(their_calls) - 1  # f(xb) is reused
+        bracket_values = [func(x) for x in brack]
+        assert _brent(ours, *brack, *bracket_values) == brent(theirs, brack=brack)
+        assert len(our_calls) == len(their_calls) - 3  # the bracket values are given
 
     @pytest.mark.parametrize("case", range(4))
     def test_matches_scipy_on_lcurve_objective(self, curvature_cases, case):
@@ -349,21 +361,54 @@ class TestGolden:
 
         ours, our_calls = counted(objective)
         theirs, their_calls = counted(objective)
-        assert _golden(ours, *brack) == golden(theirs, brack=brack)
-        assert len(our_calls) == len(their_calls) - 1
+        bracket_values = [objective(x) for x in brack]
+        assert _brent(ours, *brack, *bracket_values) == brent(theirs, brack=brack)
+        assert len(our_calls) == len(their_calls) - 3
 
     @pytest.mark.parametrize("brack", [(0.0, 2.0, 1.0), (2.0, 0.5, -1.0), (0.0, 0.0, 1.0), (1.5, 2.0, 3.0)])
     def test_non_bracketing_triple_rejected(self, brack):
+        values = [(x - 1.0) ** 2 for x in brack]
         with pytest.raises(ValueError):
-            _golden(lambda x: (x - 1.0) ** 2, *brack)
+            _brent(lambda x: (x - 1.0) ** 2, *brack, *values)
 
 
 # Seed 0 of every preset at its default sigmas, smallest gamma first: the
 # gamma lcurve_select returns and the negative curvature there, as
-# float.hex().  The gamma moves only when round-off flips a golden-section
-# comparison; the curvature shows any round-off change in the L-curve, and
-# fails here, not only in the byte-compared oracle reports.
+# float.hex().  The gamma moves when round-off flips a comparison inside
+# Brent's method; the curvature shows any round-off change in the L-curve,
+# and fails here, not only in the byte-compared oracle reports.
 PINNED_CORNERS = {
+    "rational": (
+        ("0x1.56be084e2d162p-9", "-0x1.659e6bc9942c2p+3"),
+        ("0x1.ed5e625b8af90p-6", "-0x1.6f1efd32bc20cp+3"),
+        ("0x1.3a1ae5c0ee7c2p-2", "-0x1.2d74a8106d62bp+2"),
+    ),
+    "spectral": (
+        ("0x1.8eacce4f0a3e4p-10", "-0x1.827dd21920cdap+3"),
+        ("0x1.03f9345c65c27p-6", "-0x1.57435faa41ebap+2"),
+        ("0x1.0051f4c7ff585p-2", "-0x1.9d225d4200117p+1"),
+    ),
+    "fourier": (
+        ("0x1.bd86e6f083c0dp-10", "-0x1.bbad6172cc58bp+4"),
+        ("0x1.73d2234aba49dp-7", "-0x1.1f22bf3034a90p+8"),
+        ("0x1.b4e17115d2850p-4", "-0x1.389695db7a768p+4"),
+    ),
+    "laplace": (
+        ("0x1.8500d7d91fa4dp-11", "-0x1.f90316e45a3cfp+7"),
+        ("0x1.c18c96264472ep-8", "-0x1.4a198a0f2ba67p+5"),
+        ("0x1.0e70b590c4db9p-3", "-0x1.e1e5b2cb61204p+2"),
+    ),
+    "deconv": (
+        ("0x1.a7b5a4cc1d8adp-10", "-0x1.86acef877ae18p+2"),
+        ("0x1.418856d631e17p-5", "-0x1.2fb6ab8921f1fp+2"),
+        ("0x1.9fe43ae2a2b2cp-2", "-0x1.68d5608ba77e7p+3"),
+    ),
+}
+
+# The same corners from golden-section refinement, pinned until Brent's
+# method replaced it; the Brent corners agree with them within the stated
+# numerical contract (tools/oracle.py --rtol).
+PINNED_CORNERS_GOLDEN = {
     "rational": (
         ("0x1.56be07fcef835p-9", "-0x1.659e6bc9942c5p+3"),
         ("0x1.ed5e62c39c027p-6", "-0x1.6f1efd32bc214p+3"),
@@ -390,6 +435,7 @@ PINNED_CORNERS = {
         ("0x1.9fe43b171850ap-2", "-0x1.68d5608ba77e8p+3"),
     ),
 }
+CONTRACT_RTOL = 1e-6
 
 
 @pytest.mark.parametrize("preset_id", sorted(PINNED_CORNERS))
@@ -408,6 +454,13 @@ def test_lcurve_corner_bitwise_pinned(preset_id, monkeypatch):
     assert [r.failed_stage for r in records] == [None] * 3
     got = tuple((float(g).hex(), float(k).hex()) for g, k in sorted(corners))
     assert got == PINNED_CORNERS[preset_id]
+
+
+@pytest.mark.parametrize("preset_id", sorted(PINNED_CORNERS))
+def test_brent_corners_within_contract_of_golden(preset_id):
+    for new, old in zip(PINNED_CORNERS[preset_id], PINNED_CORNERS_GOLDEN[preset_id]):
+        got, want = [float.fromhex(x) for x in new], [float.fromhex(x) for x in old]
+        np.testing.assert_allclose(got, want, rtol=CONTRACT_RTOL, atol=0)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
