@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from .errors import UnknownPreset
 from .experiments import emit_report, load_preset, make_method, run_sweep
-from .kernels import DEFAULT_BETA, PRESET_IDS
+from .kernels import PRESET_IDS
 
 CONFIG_KEYS = frozenset(("n_s", "n_a", "beta", "sigma_list", "l", "tol_factor", "grid_size"))
 
@@ -63,32 +61,6 @@ def _usage_error(message: str) -> int:
     return 1
 
 
-def _is_finite(x) -> bool:
-    # bool is an int subclass; ints need no isfinite (and overflow it if huge)
-    if isinstance(x, bool):
-        return False
-    return isinstance(x, int) or isinstance(x, float) and math.isfinite(x)
-
-
-def _value_error(values: dict, preset: str) -> str | None:
-    """What is wrong with the first unusable flag or config value, or None."""
-    for key, value in values.items():
-        if key in ("n_s", "n_a", "l", "grid_size"):
-            ok = isinstance(value, int) and not isinstance(value, bool) and value >= 1
-            want = "a positive integer"
-        elif key in ("beta", "tol_factor"):
-            ok = _is_finite(value) and value > 0
-            want = "a positive finite number"
-        else:  # sigma_list
-            ok = isinstance(value, list) and value and all(_is_finite(x) and x >= 0 for x in value)
-            want = "a non-empty list of finite numbers >= 0"
-        if not ok:
-            return f"{key} must be {want}, not {value!r}"
-    if preset == "spectral" and values.get("n_s", 0) % 2:
-        return "the spectral preset needs an even n_s"
-    return None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {}
@@ -103,44 +75,30 @@ def main(argv=None) -> int:
         unknown = sorted(set(overrides) - CONFIG_KEYS)
         if unknown:
             return _usage_error(f"unknown config keys in {args.config}: {', '.join(unknown)}")
+        if None in overrides.values():
+            return _usage_error(f"config {args.config} has a null value")
     flags = {k: getattr(args, k) for k in ("beta", "l", "tol_factor", "grid_size")}
-    flags = {k: v for k, v in flags.items() if v is not None}
-    problem = _value_error(flags, args.preset) or _value_error(overrides, args.preset)
-    if problem:
-        return _usage_error(problem)
-    settings = {**overrides, **flags}  # a flag given on the command line wins
-    try:
-        preset = load_preset(
-            args.preset,
-            beta=settings.get("beta", DEFAULT_BETA),
-            n_s=settings.get("n_s"),
-            n_a=settings.get("n_a"),
-            sigma_list=settings.get("sigma_list"),
-        )
-    except UnknownPreset as exc:
-        return _usage_error(str(exc))
-    # ESPRIT needs n_x sample rows, and rank(A) <= rank(G-hat) <= n_a
-    for key in ("n_s", "n_a"):
-        if getattr(preset, key) < preset.truth.n_x:
-            return _usage_error(f"{key} must be >= the spike count {preset.truth.n_x}")
-    sigmas = tuple(args.sigma) if args.sigma else preset.sigma_list
-    if not all(_is_finite(s) and s >= 0 for s in sigmas):
-        return _usage_error("every sigma must be finite and >= 0")
+    flags["sigma_list"] = args.sigma
+    # a flag given on the command line wins; load_preset and make_method
+    # check every value
+    settings = {**overrides, **{k: v for k, v in flags.items() if v is not None}}
     seeds = args.seed_list if args.seed_list is not None else list(range(args.seeds))
     if not seeds:
         return _usage_error("--seeds must be >= 1")
     if min(seeds) < 0:
         return _usage_error("seeds must be >= 0")
-    method_names = args.method or ["lcurve"]
-    method_args = {k: settings[k] for k in ("l", "tol_factor", "grid_size") if k in settings}
+    preset_keys = ("n_s", "n_a", "beta", "sigma_list")
+    preset_args = {k: v for k, v in settings.items() if k in preset_keys}
+    method_args = {k: v for k, v in settings.items() if k not in preset_keys}
     try:
+        preset = load_preset(args.preset, **preset_args)
         methods = [
             make_method(name, n_x=preset.truth.n_x, gamma=args.gamma, **method_args)
-            for name in method_names
+            for name in args.method or ["lcurve"]
         ]
     except ValueError as exc:
         return _usage_error(str(exc))
-    records = run_sweep(preset, methods, seeds, sigmas=sigmas)
+    records = run_sweep(preset, methods, seeds)
     paths = emit_report(records, args.format, args.out, include_timing=not args.no_timing)
     for path in paths:
         print(path)

@@ -5,6 +5,7 @@ extraction, and least-squares weight recovery.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -63,16 +64,29 @@ class MethodConfig:
             # higher Krylov powers amplify the collocation error on the
             # ill-conditioned presets, so keep A skinny by default
             object.__setattr__(self, "l", self.n_x + 2)
-        if self.l <= self.n_x:
-            raise ValueError("need l > n_x")
-        if self.tol_factor <= 0:
-            raise ValueError("tol_factor must be positive")
-        if self.lcurve_grid_size < LCURVE_MIN_GRID:
-            raise ValueError(f"lcurve_grid_size must be >= {LCURVE_MIN_GRID}")
+        if not (is_integer(self.l) and self.l > self.n_x):
+            raise ValueError(f"l must be an integer > n_x = {self.n_x}, not {self.l!r}")
+        if not (is_real(self.tol_factor) and 0 < self.tol_factor < np.inf):
+            raise ValueError(f"tol_factor must be finite and > 0, not {self.tol_factor!r}")
+        if not (is_integer(self.lcurve_grid_size) and self.lcurve_grid_size >= LCURVE_MIN_GRID):
+            raise ValueError(
+                f"grid_size must be an integer >= {LCURVE_MIN_GRID}, not {self.lcurve_grid_size!r}"
+            )
         if self.variant is Variant.REGULARIZED_FIXED_GAMMA and not (
-            self.gamma is not None and 0 < self.gamma < np.inf  # False for NaN
+            is_real(self.gamma) and 0 < self.gamma < np.inf
         ):
             raise ValueError("fixed-gamma variant needs a finite gamma > 0")
+
+
+def is_integer(value) -> bool:
+    """An integer setting; bool is an int subclass but not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real-valued setting, not a bool.  Compare it against np.inf to
+    reject NaN and infinities; the comparison is exact for huge ints."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

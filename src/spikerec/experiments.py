@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigenmatrix import MethodConfig, PreparedSystem, Variant, prepare, recover
-from .errors import UnknownPreset
+from .eigenmatrix import (
+    MethodConfig, PreparedSystem, Variant, is_integer, is_real, prepare, recover
+)
+from .errors import SpikerecError, UnknownPreset
 from .kernels import (
     DEFAULT_BETA,
     CollocationNodes,
@@ -31,6 +33,9 @@ from .kernels import (
 from .metrics import match_and_error
 
 _NAN = float("nan")
+# What a run may raise and still be a failed record; LinAlgError is a
+# ValueError.  Anything else is a bug and propagates.
+_RUN_FAILURES = (SpikerecError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,12 @@ def load_preset(
     n_a: int | None = None,
     sigma_list: tuple | None = None,
 ) -> ExperimentPreset:
-    """The five benchmark configurations, optionally overriding grid sizes."""
+    """The five benchmark configurations, optionally overriding grid sizes.
+
+    An unusable override raises ValueError: `n_s` and `n_a` are integers of
+    at least the spike count (even `n_s` on spectral), `beta` is finite and
+    > 0, and `sigma_list` is a non-empty list or tuple of finite values >= 0.
+    """
     ones = np.ones(4)
     if id == "rational":
         kernel = KernelDescriptor(Kind.RATIONAL, UNIT_DISK)
@@ -125,14 +135,29 @@ def load_preset(
         base_ns, law = 128, "chebyshev"
     else:
         raise UnknownPreset(f"unknown preset {id!r}")
+    n_s = base_ns if n_s is None else n_s
+    n_a = 32 if n_a is None else n_a
+    sigma_list = _default_sigmas(id) if sigma_list is None else sigma_list
+    # ESPRIT needs n_x sample rows, and rank(A) <= rank(G-hat) <= n_a
+    for key, value in (("n_s", n_s), ("n_a", n_a)):
+        if not (is_integer(value) and value >= locs.size):
+            raise ValueError(f"{key} must be an integer >= {locs.size} (n_x), not {value!r}")
+    if id == "spectral" and n_s % 2:
+        raise ValueError("the spectral preset needs an even n_s")
+    if not (is_real(beta) and 0 < beta < np.inf):
+        raise ValueError(f"beta must be finite and > 0, not {beta!r}")
+    if not (isinstance(sigma_list, (list, tuple)) and sigma_list) or not all(
+        is_real(x) and 0 <= x < np.inf for x in sigma_list
+    ):
+        raise ValueError(f"sigma_list must list finite numbers >= 0, not {sigma_list!r}")
     return ExperimentPreset(
         id=id,
         kernel=kernel,
         truth=SpikeSignal(locs, ones),
-        n_s=base_ns if n_s is None else n_s,
-        n_a=32 if n_a is None else n_a,
+        n_s=n_s,
+        n_a=n_a,
         node_law=law,
-        sigma_list=tuple(sigma_list) if sigma_list is not None else _default_sigmas(id),
+        sigma_list=tuple(sigma_list),
         beta=beta if id == "spectral" else None,
     )
 
@@ -170,7 +195,7 @@ def run_one(
         if prepared is None:
             prepared = prepare(preset.kernel, samples, nodes)
         result = recover(config, prepared, obs)
-    except Exception as exc:
+    except _RUN_FAILURES as exc:
         wall = (time.perf_counter() - t0) * 1e3
         return _failed_record(preset, config, sigma, seed, exc, wall)
     wall = (time.perf_counter() - t0) * 1e3
@@ -210,7 +235,7 @@ def run_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> list:
             t0 = time.perf_counter()
             try:
                 prepared = prepare(preset.kernel, samples, nodes)
-            except Exception as exc:
+            except _RUN_FAILURES as exc:
                 prepared, failure = None, exc
                 wall = (time.perf_counter() - t0) * 1e3
         for sigma in sigmas:

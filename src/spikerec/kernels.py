@@ -169,26 +169,15 @@ def uniform_circle_nodes(n_a: int) -> CollocationNodes:
     return CollocationNodes(np.exp(2j * np.pi * t / n_a))
 
 
-def chebyshev_nodes(n_a: int, lo: float, hi: float, kind: str = "first") -> CollocationNodes:
-    """Chebyshev nodes mapped affinely from [-1, 1] to [lo, hi].
-
-    First-kind points (the default) stay strictly inside the interval;
-    second-kind points include both endpoints.
-    """
+def chebyshev_nodes(n_a: int, lo: float, hi: float) -> CollocationNodes:
+    """First-kind Chebyshev nodes mapped affinely from [-1, 1] to [lo, hi];
+    they stay strictly inside the interval."""
     if n_a < 1:
         raise ValueError("n_a must be >= 1")
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if kind == "first":
-        t = np.arange(1, n_a + 1)
-        ref = np.cos((2 * t - 1) * np.pi / (2 * n_a))
-    elif kind == "second":
-        if n_a == 1:
-            ref = np.array([0.0])
-        else:
-            ref = np.cos(np.arange(n_a) * np.pi / (n_a - 1))
-    else:
-        raise ValueError(f"unknown Chebyshev kind {kind!r}")
+    t = np.arange(1, n_a + 1)
+    ref = np.cos((2 * t - 1) * np.pi / (2 * n_a))
     mapped = lo + (hi - lo) * (ref + 1.0) / 2.0
     return CollocationNodes(mapped.astype(complex))
 

@@ -48,6 +48,32 @@ class TestLoadPreset:
             load_preset("bogus")
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_method("pinv", tol_factor=NAN),
+        lambda: make_method("lcurve", l=5.5),
+        lambda: make_method("lcurve", grid_size=20.5),
+        lambda: load_preset("fourier", n_s=2),
+        lambda: load_preset("fourier", n_a=3),
+        lambda: load_preset("fourier", sigma_list=(NAN,)),
+        lambda: load_preset("fourier", beta=-1.0),
+        lambda: load_preset("spectral", n_s=255),
+    ],
+    ids=[
+        "nan-tol-factor", "float-l", "float-grid-size", "n_s-below-n_x", "n_a-below-n_x",
+        "nan-sigma", "negative-beta", "odd-spectral-n_s",
+    ],
+)
+def test_library_rejects_bad_setting(build):
+    # rejected when the setting is taken, before any run can start
+    with pytest.raises(ValueError):
+        build()
+
+
 class TestRunOne:
     def test_record_fields(self):
         p = load_preset("fourier")
@@ -119,6 +145,15 @@ class TestRunSweep:
         assert calls["build_collocation_system"] == builds
         # one collocation SVD per build, one weight SVD per record
         assert calls["compute_svd"] == builds + len(recs)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only numerical failures become failed records; a bug is raised
+        def broken(config, prepared, obs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(experiments, "recover", broken)
+        with pytest.raises(TypeError):
+            run_sweep(load_preset("fourier"), [make_method("pinv")], seeds=[0])
 
     def test_empty_inputs_rejected(self):
         p = load_preset("fourier")

@@ -69,11 +69,6 @@ class TestGrids:
         assert nodes.size == 32
         assert np.all((nodes > 0.1) & (nodes < 2.1))
 
-    def test_chebyshev_second_kind_hits_endpoints(self):
-        nodes = chebyshev_nodes(5, -1, 1, kind="second").nodes.real
-        assert nodes.max() == pytest.approx(1.0)
-        assert nodes.min() == pytest.approx(-1.0)
-
 
 class TestGenerateSamples:
     def test_matsubara_first_pair(self):
