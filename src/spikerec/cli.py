@@ -90,11 +90,17 @@ def main(argv=None) -> int:
     preset_keys = ("n_s", "n_a", "beta", "sigma_list")
     preset_args = {k: v for k, v in settings.items() if k in preset_keys}
     method_args = {k: v for k, v in settings.items() if k not in preset_keys}
+    names = args.method or ["lcurve"]
+    if args.gamma is not None and "fixed-gamma" not in names:
+        return _usage_error("--gamma is used only by --method fixed-gamma")
     try:
         preset = load_preset(args.preset, **preset_args)
         methods = [
-            make_method(name, n_x=preset.truth.n_x, gamma=args.gamma, **method_args)
-            for name in args.method or ["lcurve"]
+            make_method(
+                name, n_x=preset.truth.n_x,
+                gamma=args.gamma if name == "fixed-gamma" else None, **method_args,
+            )
+            for name in names
         ]
     except ValueError as exc:
         return _usage_error(str(exc))

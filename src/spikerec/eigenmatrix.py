@@ -32,6 +32,7 @@ from .regularization import (
     SvdFactors,
     compute_svd,
     lcurve_select,
+    lcurve_table,
     tikhonov_solve,
     truncate,
     truncated_pinv_apply,
@@ -54,7 +55,7 @@ class MethodConfig:
     n_x: int
     l: int | None = None  # Krylov parameter; defaults to n_x + 2
     tol_factor: float = 1e-4  # ORIGINAL_PINV: threshold as multiple of ||G-hat||_F
-    gamma: float | None = None  # REGULARIZED_FIXED_GAMMA only
+    gamma: float | None = None  # REGULARIZED_FIXED_GAMMA only, None elsewhere
     lcurve_grid_size: int = 200
 
     def __post_init__(self):
@@ -72,9 +73,10 @@ class MethodConfig:
             raise ValueError(
                 f"grid_size must be an integer >= {LCURVE_MIN_GRID}, not {self.lcurve_grid_size!r}"
             )
-        if self.variant is Variant.REGULARIZED_FIXED_GAMMA and not (
-            is_real(self.gamma) and 0 < self.gamma < np.inf
-        ):
+        if self.variant is not Variant.REGULARIZED_FIXED_GAMMA:
+            if self.gamma is not None:
+                raise ValueError(f"gamma is a fixed-gamma setting; {self.variant.value} takes none")
+        elif not (is_real(self.gamma) and 0 < self.gamma < np.inf):
             raise ValueError("fixed-gamma variant needs a finite gamma > 0")
 
 
@@ -92,12 +94,19 @@ def is_real(value) -> bool:
 @dataclass(frozen=True)
 class PreparedSystem:
     """What depends only on the sample set: the collocation system and the
-    SVD of its normalized matrix, shared by every sigma and method."""
+    SVD of its normalized matrix, shared by every sigma and method.
+
+    `recover` also keeps here what a method builds from these factors before
+    it looks at the observation: pinv's tolerance and eigenmatrix M per
+    `tol_factor`, and the L-curve table per grid size, each built on first
+    use.
+    """
 
     kernel: KernelDescriptor
     samples: SampleSet
     system: CollocationSystem
     factors: SvdFactors
+    _pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -249,22 +258,35 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
     tol_factor * ||G-hat||_F; the regularized variants solve
     G-hat v = u by Tikhonov (L-curve or fixed gamma) and assemble the
     Krylov matrix M-free.  Both filter the same shared SVD factors.
+
+    The tolerance and M, and the L-curve table, do not depend on the
+    observation: the first call that needs one for a prepared system builds
+    it in its own stage and timing, and later calls reuse it.  A build that
+    fails is not kept, so the next call raises the same error.
     """
-    system, factors = prepared.system, prepared.factors
+    system, factors, pieces = prepared.system, prepared.factors, prepared._pieces
     u = obs.noisy
     diag: dict = {}
     stage = "eigenmatrix"
     try:
         if config.variant is Variant.ORIGINAL_PINV:
-            tol = config.tol_factor * float(np.linalg.norm(system.normalized, "fro"))
-            M = build_eigenmatrix(system, tol, factors)
+            key = ("pinv", config.tol_factor)
+            if key not in pieces:
+                tol = config.tol_factor * float(np.linalg.norm(system.normalized, "fro"))
+                M = build_eigenmatrix(system, tol, factors)
+                M.setflags(write=False)  # shared by every later pinv record
+                pieces[key] = tol, M
+            tol, M = pieces[key]
             stage = "krylov"
             A = krylov_original(M, u, config.l)
             gamma_or_tol = tol
         else:
             stage = "tikhonov"
             if config.variant is Variant.REGULARIZED_LCURVE:
-                sol = lcurve_select(factors, u, grid_size=config.lcurve_grid_size)
+                key = ("lcurve", config.lcurve_grid_size)
+                if key not in pieces:
+                    pieces[key] = lcurve_table(factors, config.lcurve_grid_size)
+                sol = lcurve_select(factors, u, table=pieces[key])
             else:
                 sol = tikhonov_solve(factors, u, config.gamma)
             diag["flat_curve"] = sol.flagged

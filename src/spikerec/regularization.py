@@ -102,30 +102,35 @@ def tikhonov_solve(factors: SvdFactors, rhs: np.ndarray, gamma: float) -> Tikhon
     return TikhonovSolution(v=v, gamma=float(gamma), residual_norm=res, solution_norm=sol)
 
 
-def _neg_curvature(gamma, s_sq, weights, perp_sq):
-    """Negative curvature of (log residual, log solution) at gamma.
+def _filter_terms(gamma, s_sq):
+    """The (6, r) stack of filter-factor products at gamma, (6, grid, r) on a
+    1-D grid: what `_neg_curvature` weights and sums, free of the rhs.
 
-    Analytic first/second derivatives from the SVD expansion, following
-    Hansen's regularization-tools formulation adapted to complex data.
-    `s_sq` is s * s and `weights` the (6, r) stack (|xi|^2, |beta|^2) * 3.
-    A scalar `gamma` gives a float, a 1-D grid one value per gamma.
+    Rows are f^2, (1-f)^2, f f', (1-f) f', f'^2 + f f'' and (1-f) f'' - f'^2
+    for the Tikhonov filter factors f = s^2 / (s^2 + gamma^2).
     """
     if isinstance(gamma, np.ndarray):
-        gamma, weights = gamma[:, None], weights[:, None]
+        gamma = gamma[:, None]
     f = s_sq / (s_sq + gamma * gamma)
     cf = 1.0 - f
     f1 = -2.0 * f * cf / gamma
     f2 = -f1 * (3.0 - 4.0 * f) / gamma
     f1_sq = f1 * f1
-    # Few ufunc calls and one reduction: the Brent refinement calls this
-    # with a scalar gamma, where NumPy call overhead dominates.  Products and
-    # sums keep the reference's operand order (bitwise equal), and squares
-    # are products since a scalar's ** 2 may go through libm pow.
+    # Few ufunc calls: the Brent refinement calls this with a scalar gamma,
+    # where NumPy call overhead dominates.  Products keep the reference's
+    # operand order (bitwise equal), and squares are products since a
+    # scalar's ** 2 may go through libm pow.
     terms = np.array((f, cf) * 3)
     terms *= np.array((f, cf, f1, f1, f2, f2))
     terms[4] += f1_sq
     terms[5] -= f1_sq
-    terms *= weights
+    return terms
+
+
+def _curvature(terms, weights, perp_sq):
+    """Negative curvature from a `_filter_terms` stack and the rhs's (6, r)
+    weights; `terms` is not modified, so a shared table can be passed."""
+    terms = terms * (weights if terms.ndim == 2 else weights[:, None])
     eta_sq, rho_sq, phi, psi, dphi, dpsi = terms.sum(axis=-1)
     # NumPy scalars from here on: 0/0 and overflow stay NaN/inf, and a
     # scalar ** 1.5 is libm pow (an array's may differ in the last bit).
@@ -142,6 +147,17 @@ def _neg_curvature(gamma, s_sq, weights, perp_sq):
     return -(dlogrho * ddlogeta - ddlogrho * dlogeta) / (
         dlogrho * dlogrho + dlogeta * dlogeta
     ) ** 1.5
+
+
+def _neg_curvature(gamma, s_sq, weights, perp_sq):
+    """Negative curvature of (log residual, log solution) at gamma.
+
+    Analytic first/second derivatives from the SVD expansion, following
+    Hansen's regularization-tools formulation adapted to complex data.
+    `s_sq` is s * s and `weights` the (6, r) stack (|xi|^2, |beta|^2) * 3.
+    A scalar `gamma` gives a float, a 1-D grid one value per gamma.
+    """
+    return _curvature(_filter_terms(gamma, s_sq), weights, perp_sq)
 
 
 _BRENT_CG = 0.3819660  # golden-section fraction, as in scipy.optimize.Brent
@@ -220,7 +236,27 @@ def lcurve_gamma_grid(factors: SvdFactors, grid_size: int) -> np.ndarray:
     return np.geomspace(lo, s[0], grid_size)
 
 
-def lcurve_select(factors: SvdFactors, rhs: np.ndarray, grid_size: int = 200) -> TikhonovSolution:
+def lcurve_table(factors: SvdFactors, grid_size: int) -> tuple:
+    """(gamma grid, (6, grid_size, r) filter stack) of the L-curve scan.
+
+    Both depend on the singular values alone, so every rhs filtered by the
+    same factors can share one table (see `lcurve_select`).
+    """
+    if factors.rank < 2:
+        raise ValueError("L-curve selection needs at least two singular values")
+    if grid_size < LCURVE_MIN_GRID:
+        raise ValueError(f"grid_size must be >= {LCURVE_MIN_GRID}")
+    grid = lcurve_gamma_grid(factors, grid_size)
+    s = factors.singular_values
+    table = grid, _filter_terms(grid, s * s)
+    for a in table:
+        a.setflags(write=False)  # a shared table must stay as built
+    return table
+
+
+def lcurve_select(
+    factors: SvdFactors, rhs: np.ndarray, grid_size: int = 200, table: tuple | None = None
+) -> TikhonovSolution:
     """Tikhonov solution at the maximum-curvature corner of the L-curve.
 
     Scans a log-spaced gamma grid over [max(sigma_r, 1e-12*sigma_1),
@@ -228,11 +264,12 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray, grid_size: int = 200) ->
     over the two neighboring grid cells.  If the curvature has no interior
     maximum the endpoint solution is returned with the flagged bit set
     (FlatCurveWarning).
+
+    `table` is `lcurve_table(factors, grid_size)`, which a caller solving
+    several right-hand sides on the same factors builds once; without it the
+    table is built here.  The scan then weights it by this rhs alone.
     """
-    if factors.rank < 2:
-        raise ValueError("L-curve selection needs at least two singular values")
-    if grid_size < LCURVE_MIN_GRID:
-        raise ValueError(f"grid_size must be >= {LCURVE_MIN_GRID}")
+    grid, terms = lcurve_table(factors, grid_size) if table is None else table
     rhs = np.asarray(rhs, dtype=complex)
     s = factors.singular_values
     rhs_norm = float(np.linalg.norm(rhs))
@@ -247,8 +284,7 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray, grid_size: int = 200) ->
     abs_beta_sq = np.abs(beta) ** 2
     s_sq = s * s
     weights = np.array((abs_beta_sq / s_sq, abs_beta_sq) * 3)
-    grid = lcurve_gamma_grid(factors, grid_size)
-    neg = _neg_curvature(grid, s_sq, weights, perp_sq)
+    neg = _curvature(terms, weights, perp_sq)
     idx = int(np.argmin(neg))
     flagged = idx == 0 or idx == grid.size - 1
     gamma = grid[idx]

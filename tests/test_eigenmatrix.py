@@ -308,6 +308,11 @@ class TestMethodConfig:
         with pytest.raises(ValueError):
             MethodConfig(Variant.REGULARIZED_FIXED_GAMMA, n_x=4, gamma=gamma)
 
+    @pytest.mark.parametrize("variant", [Variant.ORIGINAL_PINV, Variant.REGULARIZED_LCURVE])
+    def test_gamma_only_for_fixed_gamma(self, variant):
+        with pytest.raises(ValueError):
+            MethodConfig(variant, n_x=4, gamma=1e-3)
+
     def test_bad_tol_factor(self):
         with pytest.raises(ValueError):
             MethodConfig(Variant.ORIGINAL_PINV, n_x=4, tol_factor=-1.0)

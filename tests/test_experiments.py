@@ -130,7 +130,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("pid, seeds, builds", [("spectral", 3, 1), ("rational", 3, 3)])
     def test_one_factorisation_per_sample_set(self, monkeypatch, pid, seeds, builds):
         # spectral samples do not depend on the seed, rational ones do
-        calls = {"build_collocation_system": 0, "compute_svd": 0}
+        calls = {"build_collocation_system": 0, "compute_svd": 0, "build_eigenmatrix": 0}
         for name in calls:
             real = getattr(eigenmatrix, name)
 
@@ -145,6 +145,8 @@ class TestRunSweep:
         assert calls["build_collocation_system"] == builds
         # one collocation SVD per build, one weight SVD per record
         assert calls["compute_svd"] == builds + len(recs)
+        # pinv's M is built once per system, not once per pinv record
+        assert calls["build_eigenmatrix"] == builds
 
     def test_programming_error_propagates(self, monkeypatch):
         # only numerical failures become failed records; a bug is raised
@@ -205,6 +207,23 @@ class TestSharedStageFailure:
         recs = self._sweep()
         assert recs and all(r.failed_stage == "svd" for r in recs)
         assert all(r.error.startswith("ConvergenceFailure") for r in recs)
+
+    def test_method_piece_failure_stays_in_its_cells(self):
+        # a cutoff above sigma_1 fails building pinv's M; the failure is not
+        # kept on the shared system, so every pinv cell fails as a cell on
+        # its own system does, and the lcurve cells of the seed still run
+        p = load_preset("rational", sigma_list=self.SIGMAS)
+        pinv = make_method("pinv", tol_factor=10.0)
+        recs = run_sweep(p, [pinv, make_method("lcurve")], seeds=[0, 1, 2])
+        assert len(recs) == 3 * 2 * len(self.SIGMAS)
+        for r in recs:
+            if r.method == "lcurve":
+                assert r.failed_stage is None
+                continue
+            alone = run_one(p, pinv, r.sigma, r.seed)
+            assert r.failed_stage == alone.failed_stage == "eigenmatrix"
+            assert r.error == alone.error
+            assert r.error.startswith("AllTruncated: tolerance")
 
     def test_run_one_records_its_own_preparation_failure(self, monkeypatch):
         _samples_on_node(monkeypatch, {0})
@@ -394,6 +413,7 @@ class TestCli:
             (["--method", "fixed-gamma", "--gamma", "inf"], None),
             ([], {"n_s": 3}),
             ([], {"n_a": 3}),
+            (["--method", "lcurve", "--gamma", "nan", "--seeds", "1"], None),
         ],
         ids=[
             "no-seeds", "negative-seed", "negative-sigma", "nan-sigma", "grid-size-5",
@@ -402,6 +422,7 @@ class TestCli:
             "empty-sigma-list", "string-tol-factor", "string-l", "float-grid-size",
             "bool-n_s", "negative-config-beta", "negative-beta", "nan-tol-factor",
             "nan-gamma", "inf-gamma", "n_s-below-n_x", "n_a-below-n_x",
+            "gamma-without-fixed-gamma",
         ],
     )
     def test_bad_input_exit_one(self, tmp_path, capsys, extra, config):
@@ -414,6 +435,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_gamma_goes_to_fixed_gamma_only(self, tmp_path):
+        # with --gamma, lcurve runs beside fixed-gamma (gamma-without-fixed-gamma
+        # in test_bad_input_exit_one exits 1)
+        argv = [
+            "--preset", "fourier", "--method", "lcurve", "--method", "fixed-gamma",
+            "--gamma", "1e-3", "--seeds", "1", "--sigma", "0.01",
+            "--out", str(tmp_path / "out"),
+        ]
+        assert cli_main(argv) == 0
 
     @pytest.mark.parametrize("key", ["n_s", "n_a"])
     def test_sizes_at_model_order_run(self, tmp_path, key):

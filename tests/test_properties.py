@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from spikerec import add_noise, load_preset, make_method, prepare, recover, synthesize
 from spikerec.kernels import PRESET_IDS, Observations
+from spikerec.regularization import tikhonov_solve
+
+RTOL = 1e-12  # round-off allowance on the monotone norms
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -32,3 +35,25 @@ def test_scaling_observations_scales_only_the_weights(preset_id, method, sigma_i
     assert result.gamma_or_tol == base.gamma_or_tol
     np.testing.assert_array_equal(result.locations, base.locations)
     np.testing.assert_array_equal(result.weights, c * base.weights)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    preset_id=st.sampled_from(PRESET_IDS),
+    sigma_index=st.integers(0, 2),
+    seed=st.integers(0, 4),
+    log_gammas=st.lists(st.floats(-14.0, 1.0), min_size=2, max_size=20),
+)
+def test_tikhonov_norms_monotone_in_gamma(preset_id, sigma_index, seed, log_gammas):
+    # Each filter factor s^2 / (s^2 + gamma^2) falls as gamma rises, so the
+    # residual norm cannot fall and the solution norm cannot rise.
+    preset = load_preset(preset_id)
+    samples = preset.samples(seed)
+    factors = prepare(preset.kernel, samples, preset.nodes()).factors
+    u = synthesize(preset.kernel, preset.truth, samples)
+    rhs = add_noise(u, preset.sigma_list[sigma_index], seed).noisy
+    s1 = factors.singular_values[0]
+    sols = [tikhonov_solve(factors, rhs, s1 * 10.0**t) for t in sorted(log_gammas)]
+    for low, high in zip(sols, sols[1:]):
+        assert high.residual_norm >= low.residual_norm * (1 - RTOL)
+        assert high.solution_norm <= low.solution_norm * (1 + RTOL)

@@ -10,14 +10,16 @@ import spikerec
 import spikerec.eigenmatrix
 from spikerec.errors import AllTruncated, FlatCurveWarning
 from spikerec.experiments import load_preset, make_method, run_sweep
-from spikerec.kernels import add_noise, build_collocation_system, synthesize
+from spikerec.kernels import PRESET_IDS, add_noise, build_collocation_system, synthesize
 from spikerec.regularization import (
     SvdFactors,
     _brent,
+    _curvature,
     _neg_curvature,
     compute_svd,
     lcurve_gamma_grid,
     lcurve_select,
+    lcurve_table,
     tikhonov_solve,
     truncated_pinv_apply,
 )
@@ -311,6 +313,24 @@ class TestNegCurvature:
             assert isinstance(got, float)
             assert got == neg_curvature_loop(g, *ref_args)
             assert _neg_curvature(float(g), *args) == got
+
+
+@pytest.mark.parametrize("preset_id", PRESET_IDS)
+def test_shared_table_curvature_bitwise(preset_id):
+    # one table per system serves every rhs: the same bits as the grid
+    # evaluation that builds the filter stack per rhs, table untouched
+    preset = load_preset(preset_id)
+    samples = preset.samples(0)
+    factors = compute_svd(build_collocation_system(preset.kernel, samples, preset.nodes()).normalized)
+    grid, terms = lcurve_table(factors, 200)
+    assert grid.tobytes() == lcurve_gamma_grid(factors, 200).tobytes()
+    before = terms.copy()
+    u = synthesize(preset.kernel, preset.truth, samples)
+    for sigma in preset.sigma_list:
+        _, args = curvature_args(factors, add_noise(u, sigma, 0).noisy)
+        got = _curvature(terms, *args[1:])
+        assert got.tobytes() == _neg_curvature(grid, *args).tobytes()
+    assert terms.tobytes() == before.tobytes()
 
 
 def counted(func):
