@@ -321,7 +321,7 @@ def test_shared_table_curvature_bitwise(preset_id):
     # evaluation that builds the filter stack per rhs, table untouched
     preset = load_preset(preset_id)
     samples = preset.samples(0)
-    factors = compute_svd(build_collocation_system(preset.kernel, samples, preset.nodes()).normalized)
+    factors = spikerec.eigenmatrix.prepare(preset.kernel, samples, preset.nodes()).factors
     grid, terms = lcurve_table(factors, 200)
     assert grid.tobytes() == lcurve_gamma_grid(factors, 200).tobytes()
     before = terms.copy()
