@@ -111,10 +111,14 @@ class PreparedSystem:
 
 @dataclass(frozen=True)
 class RecoveryResult:
+    """Recovered spikes, the pinv tolerance or Tikhonov gamma used, and the
+    ESPRIT conditioning: cond(V_minus) and sigma_{n_x+1}(A) / sigma_{n_x}(A)."""
+
     locations: np.ndarray
     weights: np.ndarray
     gamma_or_tol: float
-    diagnostics: dict = field(default_factory=dict)
+    condV_minus: float
+    svd_gap: float
 
 
 def build_eigenmatrix(
@@ -164,19 +168,22 @@ def krylov_regularized(
     return A
 
 
-def esprit_extract(A: np.ndarray, n_x: int, with_diagnostics: bool = False):
+def esprit_extract(A: np.ndarray, n_x: int) -> tuple:
     """Spike locations as eigenvalues of the ESPRIT shift operator.
 
     Rank-n_x truncated SVD of A; V_plus (first column of V* dropped) is
     matched against V_minus (last column dropped) in the least-squares
     sense, and the eigenvalues of the resulting n_x x n_x operator are the
-    location estimates.
+    location estimates.  Returns (locations, cond(V_minus), svd_gap), the
+    gap being sigma_{n_x+1}(A) / sigma_{n_x}(A), or 0 when A has n_x
+    singular values.  A with sigma_{n_x} not above RANK_TOL * sigma_1
+    (a zero or non-finite A included) raises RankDeficient.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape[0] < n_x or A.shape[1] < n_x + 1:
         raise ValueError("A too small for the requested model order")
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    if s[n_x - 1] < RANK_TOL * s[0]:
+    if not s[n_x - 1] > RANK_TOL * s[0]:
         raise RankDeficient(
             f"sigma_{n_x}(A) = {s[n_x - 1]:.3e} below {RANK_TOL:g} * sigma_1"
         )
@@ -192,16 +199,8 @@ def esprit_extract(A: np.ndarray, n_x: int, with_diagnostics: bool = False):
         )
     # Psi = V_plus pinv(V_minus), formed by a small least-squares solve
     psi = np.linalg.lstsq(v_minus.T, v_plus.T, rcond=None)[0].T
-    locations = np.linalg.eigvals(psi)
-    if with_diagnostics:
-        gap = float(s[n_x] / s[n_x - 1]) if s.size > n_x and s[n_x - 1] > 0 else 0.0
-        diag = {
-            "condV_minus": cond_minus,
-            "svd_gap": gap,
-            "rank_retained": n_x,
-        }
-        return locations, diag
-    return locations
+    gap = float(s[n_x] / s[n_x - 1]) if s.size > n_x else 0.0
+    return np.linalg.eigvals(psi), cond_minus, gap
 
 
 def recover_weights(
@@ -227,7 +226,7 @@ def compute_svd_or_degenerate(design: np.ndarray):
 
 def _project_locations(kernel: KernelDescriptor, raw: np.ndarray) -> np.ndarray:
     # Real-interval parameter spaces: report real parts clamped to the
-    # interval; the raw complex eigenvalues stay in diagnostics.
+    # interval, discarding the imaginary parts.
     if kernel.domain.kind == "interval":
         return np.clip(raw.real, kernel.domain.lo, kernel.domain.hi).astype(complex)
     return raw
@@ -266,7 +265,6 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
     """
     system, factors, pieces = prepared.system, prepared.factors, prepared._pieces
     u = obs.noisy
-    diag: dict = {}
     stage = "eigenmatrix"
     try:
         if config.variant is Variant.ORIGINAL_PINV:
@@ -289,24 +287,15 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
                 sol = lcurve_select(factors, u, table=pieces[key])
             else:
                 sol = tikhonov_solve(factors, u, config.gamma)
-            diag["flat_curve"] = sol.flagged
-            diag["residual_norm"] = sol.residual_norm
             stage = "krylov"
             A = krylov_regularized(system, sol.v, u, config.l)
             gamma_or_tol = sol.gamma
         stage = "esprit"
-        raw, esprit_diag = esprit_extract(A, config.n_x, with_diagnostics=True)
-        diag.update(esprit_diag)
-        diag["raw_locations"] = raw
+        raw, cond_minus, gap = esprit_extract(A, config.n_x)
         locations = _project_locations(prepared.kernel, raw)
         stage = "weights"
         weights = recover_weights(prepared.kernel, prepared.samples, locations, u)
     except Exception as exc:
         exc.stage = stage
         raise
-    return RecoveryResult(
-        locations=locations,
-        weights=weights,
-        gamma_or_tol=float(gamma_or_tol),
-        diagnostics=diag,
-    )
+    return RecoveryResult(locations, weights, float(gamma_or_tol), cond_minus, gap)

@@ -21,6 +21,7 @@ from .kernels import (
     Domain,
     KernelDescriptor,
     Kind,
+    Observations,
     SampleSet,
     SpikeSignal,
     UNIT_DISK,
@@ -162,51 +163,39 @@ def load_preset(
     )
 
 
-def _failed_record(preset, config, sigma, seed, exc, wall_ms) -> RunRecord:
+def _failed_record(preset, config, obs, exc, wall_ms) -> RunRecord:
+    # `prepare` and `recover` tag every exception they let through
     return RunRecord(
-        preset.id, config.variant.value, sigma, seed,
+        preset.id, config.variant.value, obs.sigma, obs.seed,
         wall_time_ms=wall_ms,
-        failed_stage=getattr(exc, "stage", "unknown"),
+        failed_stage=exc.stage,
         error=f"{type(exc).__name__}: {exc}",
     )
 
 
 def run_one(
-    preset: ExperimentPreset,
-    config: MethodConfig,
-    sigma: float,
-    seed: int,
-    obs=None,
-    prepared: PreparedSystem | None = None,
+    preset: ExperimentPreset, config: MethodConfig, prepared: PreparedSystem, obs: Observations
 ) -> RunRecord:
-    """Run one (method, sigma, seed) cell; failures land in the record.
+    """Run one (method, sigma, seed) cell on the seed's prepared system and
+    noisy observation; failures land in the record.
 
-    `prepared` is the seed's system from `prepare`, shared by a sweep's
-    cells and outside their wall time; without it the cell prepares its
-    own, inside its wall time.
+    The record's sigma and seed are `obs.sigma` and `obs.seed`, and its
+    wall time covers `recover` only: the sweep shares `prepared` among cells.
     """
-    samples = preset.samples(seed) if obs is None or prepared is None else None
-    if obs is None:
-        u = synthesize(preset.kernel, preset.truth, samples)
-        obs = add_noise(u, sigma, seed)
-    nodes = preset.nodes() if prepared is None else None
     t0 = time.perf_counter()
     try:
-        if prepared is None:
-            prepared = prepare(preset.kernel, samples, nodes)
         result = recover(config, prepared, obs)
     except _RUN_FAILURES as exc:
-        wall = (time.perf_counter() - t0) * 1e3
-        return _failed_record(preset, config, sigma, seed, exc, wall)
+        return _failed_record(preset, config, obs, exc, (time.perf_counter() - t0) * 1e3)
     wall = (time.perf_counter() - t0) * 1e3
     errors = match_and_error(preset.truth, result)
     return RunRecord(
-        preset.id, config.variant.value, sigma, seed,
+        preset.id, config.variant.value, obs.sigma, obs.seed,
         location_error=errors.location_error,
         weight_error=errors.weight_error,
         gamma_or_tol=result.gamma_or_tol,
-        condV_minus=result.diagnostics["condV_minus"],
-        svd_gap=result.diagnostics["svd_gap"],
+        condV_minus=result.condV_minus,
+        svd_gap=result.svd_gap,
         wall_time_ms=wall,
         locations=[[z.real, z.imag] for z in result.locations],
         weights=[[z.real, z.imag] for z in result.weights],
@@ -242,9 +231,9 @@ def run_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> list:
             obs = add_noise(u, sigma, seed)
             for config in methods:
                 if failure is None:
-                    rec = run_one(preset, config, sigma, seed, obs=obs, prepared=prepared)
+                    rec = run_one(preset, config, prepared, obs)
                 else:
-                    rec = _failed_record(preset, config, sigma, seed, failure, wall)
+                    rec = _failed_record(preset, config, obs, failure, wall)
                 records.append(rec)
     records.sort(key=RunRecord.sort_key)
     return records

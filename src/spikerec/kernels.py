@@ -121,20 +121,18 @@ class Observations:
 
 @dataclass(frozen=True)
 class CollocationSystem:
-    """G = [g(s_j, a_t)], its column-normalized form, and the node diagonal."""
+    """G-hat, the column-normalized G = [g(s_j, a_t)], and the node diagonal."""
 
-    matrix: np.ndarray  # G, n_s x n_a
-    normalized: np.ndarray  # G-hat, unit 2-norm columns
-    column_norms: np.ndarray  # real, length n_a
+    normalized: np.ndarray  # G-hat, n_s x n_a, unit 2-norm columns
     nodes: np.ndarray  # diagonal of Lambda
 
     @property
     def n_s(self) -> int:
-        return self.matrix.shape[0]
+        return self.normalized.shape[0]
 
     @property
     def n_a(self) -> int:
-        return self.matrix.shape[1]
+        return self.normalized.shape[1]
 
 
 def _rng(seed: int, stream: int) -> Generator:
@@ -237,14 +235,10 @@ def add_noise(u: np.ndarray, sigma: float, rng_seed: int) -> Observations:
 def build_collocation_system(
     kernel: KernelDescriptor, samples: SampleSet, nodes: CollocationNodes
 ) -> CollocationSystem:
-    """Assemble G, normalize its columns to unit 2-norm, record the norms."""
+    """Assemble G and normalize its columns to unit 2-norm; a zero column
+    raises DegenerateColumn."""
     G = eval_kernel(kernel, samples.points[:, None], nodes.nodes[None, :])
     norms = np.linalg.norm(G, axis=0)
     if np.any(norms == 0):
         raise DegenerateColumn("collocation matrix has a zero column")
-    return CollocationSystem(
-        matrix=G,
-        normalized=G / norms,
-        column_norms=norms,
-        nodes=nodes.nodes.copy(),
-    )
+    return CollocationSystem(normalized=G / norms, nodes=nodes.nodes.copy())

@@ -7,6 +7,7 @@ from spikerec import (
     add_noise,
     load_preset,
     make_method,
+    prepare,
     run_one,
     run_sweep,
     synthesize,
@@ -74,10 +75,18 @@ def test_library_rejects_bad_setting(build):
         build()
 
 
+def _run_alone(preset, config, sigma, seed):
+    """One cell on a system and observation of its own, as no sweep shares."""
+    samples = preset.samples(seed)
+    prepared = prepare(preset.kernel, samples, preset.nodes())
+    obs = add_noise(synthesize(preset.kernel, preset.truth, samples), sigma, seed)
+    return run_one(preset, config, prepared, obs)
+
+
 class TestRunOne:
     def test_record_fields(self):
         p = load_preset("fourier")
-        rec = run_one(p, make_method("lcurve"), 1e-2, 0)
+        rec = _run_alone(p, make_method("lcurve"), 1e-2, 0)
         assert rec.preset == "fourier"
         assert rec.method == "lcurve"
         assert rec.failed_stage is None
@@ -87,7 +96,7 @@ class TestRunOne:
 
     def test_failure_is_recorded_not_raised(self):
         p = load_preset("rational")
-        rec = run_one(p, make_method("pinv", tol_factor=10.0), 1e-2, 0)
+        rec = _run_alone(p, make_method("pinv", tol_factor=10.0), 1e-2, 0)
         assert rec.failed_stage == "eigenmatrix"
         assert "AllTruncated" in rec.error
         assert np.isnan(rec.location_error)
@@ -117,7 +126,7 @@ class TestRunSweep:
         for sigma in sigmas:
             obs = add_noise(synthesize(p.kernel, p.truth, samples), sigma, 7)
             for m in methods:
-                direct = run_one(p, m, sigma, 7, obs=obs)
+                direct = run_one(p, m, prepare(p.kernel, samples, p.nodes()), obs)
                 match = [r for r in recs if (r.method, r.sigma) == (direct.method, sigma)]
                 assert len(match) == 1
                 assert match[0].failed_stage is None
@@ -220,15 +229,10 @@ class TestSharedStageFailure:
             if r.method == "lcurve":
                 assert r.failed_stage is None
                 continue
-            alone = run_one(p, pinv, r.sigma, r.seed)
+            alone = _run_alone(p, pinv, r.sigma, r.seed)
             assert r.failed_stage == alone.failed_stage == "eigenmatrix"
             assert r.error == alone.error
             assert r.error.startswith("AllTruncated: tolerance")
-
-    def test_run_one_records_its_own_preparation_failure(self, monkeypatch):
-        _samples_on_node(monkeypatch, {0})
-        rec = run_one(load_preset("rational"), make_method("pinv"), 1e-2, 0)
-        assert rec.failed_stage == "collocation"
 
     def test_cli_exit_two(self, monkeypatch, tmp_path):
         _samples_on_node(monkeypatch, {0})
@@ -300,6 +304,22 @@ class TestEmitReport:
         assert lines[1].startswith("rational,lcurve,0.01,0,")
         assert lines[2:] == ["rational,pinv,0.01,0,nan,nan,nan,nan,nan,0"]
         assert (tmp_path / "records.json").read_text().endswith(FAILED_PINV_JSON)
+
+    def test_numpy_seeds_and_integer_sigma(self, tmp_path):
+        # records take the observation's int seed and float sigma, not the
+        # caller's values: json cannot write a NumPy int64, and an integer
+        # sigma is written as a float in JSON and as before in CSV and plotdata
+        p = load_preset("fourier", sigma_list=[1])
+        recs = run_sweep(p, [make_method("pinv")], seeds=np.arange(2))
+        assert all(type(r.seed) is int and type(r.sigma) is float for r in recs)
+        for fmt in ("csv", "json", "plotdata"):
+            emit_report(recs, fmt, tmp_path / fmt, include_timing=False)
+        objs = json.loads((tmp_path / "json" / "records.json").read_text())
+        assert [o["seed"] for o in objs] == [0, 1]
+        assert '"sigma": 1.0,' in (tmp_path / "json" / "records.json").read_text()
+        rows = (tmp_path / "csv" / "records.csv").read_text().splitlines()[1:]
+        assert [row[:16] for row in rows] == ["fourier,pinv,1,0", "fourier,pinv,1,1"]
+        assert (tmp_path / "plotdata" / "fourier_sigma1_pinv.dat").exists()
 
     def test_json_round_trip(self, records, tmp_path):
         paths = emit_report(records, "json", tmp_path)

@@ -1,13 +1,16 @@
 """Invariants the maths guarantees, checked over random cells."""
 
+from itertools import permutations
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from spikerec import add_noise, load_preset, make_method, prepare, recover, synthesize
-from spikerec.kernels import PRESET_IDS, Observations
+from spikerec.kernels import PRESET_IDS, Observations, SampleSet
 from spikerec.regularization import tikhonov_solve
 
 RTOL = 1e-12  # round-off allowance on the monotone norms
+PERM_RTOL = 1e-6  # round-off allowance on a recovery from reordered samples
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -57,3 +60,36 @@ def test_tikhonov_norms_monotone_in_gamma(preset_id, sigma_index, seed, log_gamm
     for low, high in zip(sols, sols[1:]):
         assert high.residual_norm >= low.residual_norm * (1 - RTOL)
         assert high.solution_norm <= low.solution_norm * (1 + RTOL)
+
+
+def _matched_gap(a, b):
+    """Largest |a_k - b_p(k)| under the best assignment p, relative to max |a|."""
+    gap = min(np.abs(a - b[list(p)]).max() for p in permutations(range(b.size)))
+    return gap / np.abs(a).max()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    preset_id=st.sampled_from(PRESET_IDS),
+    method=st.sampled_from(("lcurve", "pinv")),
+    sigma_index=st.integers(0, 2),
+    seed=st.integers(0, 39),
+    perm_seed=st.integers(0, 2**32 - 1),
+)
+def test_permuting_samples_keeps_the_recovery(preset_id, method, sigma_index, seed, perm_seed):
+    # Reordering the samples, and u with them, permutes the rows of G-hat
+    # and of A: the singular values, the spectral filters and the ESPRIT
+    # shift operator are unchanged up to round-off.  Weights are not
+    # compared, since high-noise pinv on spectral amplifies that round-off.
+    preset = load_preset(preset_id)
+    samples = preset.samples(seed)
+    u = synthesize(preset.kernel, preset.truth, samples)
+    obs = add_noise(u, preset.sigma_list[sigma_index], seed)
+    perm = np.random.default_rng(perm_seed).permutation(samples.n_s)
+    moved = SampleSet(samples.points[perm])
+    moved_obs = Observations(obs.exact[perm], obs.noisy[perm], obs.sigma, obs.seed)
+    config = make_method(method)
+    base = recover(config, prepare(preset.kernel, samples, preset.nodes()), obs)
+    result = recover(config, prepare(preset.kernel, moved, preset.nodes()), moved_obs)
+    np.testing.assert_allclose(result.gamma_or_tol, base.gamma_or_tol, rtol=PERM_RTOL)
+    assert _matched_gap(base.locations, result.locations) <= PERM_RTOL
