@@ -76,7 +76,7 @@ def test_library_rejects_bad_setting(build):
 
 
 def _run_alone(preset, config, sigma, seed):
-    """One cell on a system and observation of its own, as no sweep shares."""
+    """One cell on a freshly prepared system and observation."""
     samples = preset.samples(seed)
     prepared = prepare(preset.kernel, samples, preset.nodes())
     obs = add_noise(synthesize(preset.kernel, preset.truth, samples), sigma, seed)
