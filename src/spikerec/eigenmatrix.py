@@ -24,6 +24,7 @@ from .kernels import (
     KernelDescriptor,
     Observations,
     SampleSet,
+    as_float,
     build_collocation_system,
     eval_kernel,
 )
@@ -141,12 +142,10 @@ def krylov_original(M: np.ndarray, u_noisy: np.ndarray, l: int) -> np.ndarray:
     """A = [u, M u, ..., M^l u] by repeated matrix-vector products."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    u_noisy = np.asarray(u_noisy, dtype=complex)
-    A = np.empty((u_noisy.size, l + 1), dtype=complex)
-    A[:, 0] = u_noisy
-    for k in range(1, l + 1):
-        A[:, k] = M @ A[:, k - 1]
-    return A
+    cols = [as_float(u_noisy)]
+    for _ in range(l):
+        cols.append(M @ cols[-1])
+    return np.column_stack(cols)
 
 
 def krylov_regularized(
@@ -155,17 +154,14 @@ def krylov_regularized(
     """A = [u, G-hat Lambda v, ..., G-hat Lambda^l v], diagonal powers on v."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    v = np.asarray(v, dtype=complex)
-    if v.size != system.n_a:
+    p = as_float(v)
+    if p.size != system.n_a:
         raise ValueError("v must have length n_a")
-    u_noisy = np.asarray(u_noisy, dtype=complex)
-    A = np.empty((u_noisy.size, l + 1), dtype=complex)
-    A[:, 0] = u_noisy
-    p = v
-    for k in range(1, l + 1):
+    cols = [as_float(u_noisy)]
+    for _ in range(l):
         p = system.nodes * p
-        A[:, k] = system.normalized @ p
-    return A
+        cols.append(system.normalized @ p)
+    return np.column_stack(cols)
 
 
 def esprit_extract(A: np.ndarray, n_x: int) -> tuple:
@@ -179,23 +175,19 @@ def esprit_extract(A: np.ndarray, n_x: int) -> tuple:
     singular values.  A with sigma_{n_x} not above RANK_TOL * sigma_1
     (a zero or non-finite A included) raises RankDeficient.
     """
-    A = np.asarray(A, dtype=complex)
+    A = as_float(A)
     if A.shape[0] < n_x or A.shape[1] < n_x + 1:
         raise ValueError("A too small for the requested model order")
     _, s, vh = np.linalg.svd(A, full_matrices=False)
     if not s[n_x - 1] > RANK_TOL * s[0]:
-        raise RankDeficient(
-            f"sigma_{n_x}(A) = {s[n_x - 1]:.3e} below {RANK_TOL:g} * sigma_1"
-        )
+        raise RankDeficient(f"sigma_{n_x}(A) = {s[n_x - 1]:.3e} below {RANK_TOL:g} * sigma_1")
     v_star = vh[:n_x, :]
-    v_plus = v_star[:, 1:]
-    v_minus = v_star[:, :-1]
+    v_plus, v_minus = v_star[:, 1:], v_star[:, :-1]
     cond_minus = float(np.linalg.cond(v_minus))
     if cond_minus > SHIFT_COND_LIMIT:
         warnings.warn(
             f"cond(V_minus) = {cond_minus:.3e} exceeds {SHIFT_COND_LIMIT:g}",
-            IllConditionedShiftWarning,
-            stacklevel=2,
+            IllConditionedShiftWarning, stacklevel=2,
         )
     # Psi = V_plus pinv(V_minus), formed by a small least-squares solve
     psi = np.linalg.lstsq(v_minus.T, v_plus.T, rcond=None)[0].T
@@ -204,17 +196,13 @@ def esprit_extract(A: np.ndarray, n_x: int) -> tuple:
 
 
 def recover_weights(
-    kernel: KernelDescriptor,
-    samples: SampleSet,
-    locations: np.ndarray,
-    u_noisy: np.ndarray,
+    kernel: KernelDescriptor, samples: SampleSet, locations: np.ndarray, u_noisy: np.ndarray
 ) -> np.ndarray:
     """Minimum-norm least squares for the weights at the recovered locations."""
-    locations = np.asarray(locations, dtype=complex)
-    design = eval_kernel(kernel, samples.points[:, None], locations[None, :])
+    design = eval_kernel(kernel, samples.points[:, None], as_float(locations)[None, :])
     factors = compute_svd_or_degenerate(design)
     tol = WEIGHT_PINV_TOL * factors.singular_values[0]
-    return truncated_pinv_apply(factors, tol, np.asarray(u_noisy, dtype=complex))
+    return truncated_pinv_apply(factors, tol, as_float(u_noisy))
 
 
 def compute_svd_or_degenerate(design: np.ndarray):
@@ -228,7 +216,7 @@ def _project_locations(kernel: KernelDescriptor, raw: np.ndarray) -> np.ndarray:
     # Real-interval parameter spaces: report real parts clamped to the
     # interval, discarding the imaginary parts.
     if kernel.domain.kind == "interval":
-        return np.clip(raw.real, kernel.domain.lo, kernel.domain.hi).astype(complex)
+        return np.clip(raw.real, kernel.domain.lo, kernel.domain.hi)
     return raw
 
 

@@ -299,22 +299,13 @@ def _emit_plotdata(records, outdir: Path) -> list:
 
 
 def make_method(
-    name: str,
-    n_x: int = 4,
-    l: int | None = None,
-    tol_factor: float = 1e-4,
-    gamma: float | None = None,
-    grid_size: int = 200,
+    name: str, n_x: int = 4, l: int | None = None, tol_factor: float = 1e-4,
+    gamma: float | None = None, grid_size: int = 200,
 ) -> MethodConfig:
     try:
         variant = Variant(name)
     except ValueError:
         raise ValueError(f"unknown method {name!r}") from None
     return MethodConfig(
-        variant=variant,
-        n_x=n_x,
-        l=l,
-        tol_factor=tol_factor,
-        gamma=gamma,
-        lcurve_grid_size=grid_size,
+        variant, n_x, l=l, tol_factor=tol_factor, gamma=gamma, lcurve_grid_size=grid_size
     )

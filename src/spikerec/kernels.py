@@ -5,6 +5,10 @@ disk, spectral function approximation on a Matsubara grid, Fourier
 inversion, Laplace inversion, and sparse deconvolution.  All routines are
 pure functions of their arguments (seeds included), so they are safe to
 call concurrently.
+
+Arrays keep the type of their data: real input becomes float64 and complex
+input complex128 (`as_float`), so the real kernels (Laplace, deconvolution)
+run in real arithmetic end to end.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ class SpikeSignal:
     weights: np.ndarray
 
     def __post_init__(self):
-        locs = np.atleast_1d(np.asarray(self.locations, dtype=complex))
-        wts = np.atleast_1d(np.asarray(self.weights, dtype=complex))
+        locs = np.atleast_1d(as_float(self.locations))
+        wts = np.atleast_1d(as_float(self.weights))
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "weights", wts)
         if locs.size != wts.size or locs.size < 1:
@@ -87,9 +91,7 @@ class SampleSet:
     points: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "points", np.atleast_1d(np.asarray(self.points, dtype=complex))
-        )
+        object.__setattr__(self, "points", np.atleast_1d(as_float(self.points)))
 
     @property
     def n_s(self) -> int:
@@ -101,7 +103,7 @@ class CollocationNodes:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=complex))
+        nodes = np.atleast_1d(as_float(self.nodes))
         object.__setattr__(self, "nodes", nodes)
         if len(np.unique(nodes)) != nodes.size:
             raise ValueError("collocation nodes must be pairwise distinct")
@@ -117,6 +119,12 @@ class Observations:
     noisy: np.ndarray
     sigma: float
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "exact", as_float(self.exact))
+        object.__setattr__(self, "noisy", as_float(self.noisy))
+        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,13 @@ class CollocationSystem:
         return self.normalized.shape[1]
 
 
+def as_float(a) -> np.ndarray:
+    """`a` as a float64 array if it is real (integers included), complex128
+    if it is complex; a 0-d input stays 0-d."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a, np.float64), copy=False)
+
+
 def _rng(seed: int, stream: int) -> Generator:
     # One substream per purpose (0: sample draws, 1: noise draws) so that
     # sample sets and noise realizations are independently reproducible.
@@ -143,8 +158,7 @@ def _rng(seed: int, stream: int) -> Generator:
 
 def eval_kernel(kernel: KernelDescriptor, s, x):
     """Evaluate g(s, x); broadcasts over array arguments."""
-    s = np.asarray(s, dtype=complex)
-    x = np.asarray(x, dtype=complex)
+    s, x = as_float(s), as_float(x)
     if kernel.kind in (Kind.RATIONAL, Kind.SPECTRAL_RATIONAL):
         diff = s - x
         if np.any(diff == 0):
@@ -177,7 +191,7 @@ def chebyshev_nodes(n_a: int, lo: float, hi: float) -> CollocationNodes:
     t = np.arange(1, n_a + 1)
     ref = np.cos((2 * t - 1) * np.pi / (2 * n_a))
     mapped = lo + (hi - lo) * (ref + 1.0) / 2.0
-    return CollocationNodes(mapped.astype(complex))
+    return CollocationNodes(mapped)
 
 
 def generate_samples(
@@ -210,10 +224,10 @@ def generate_samples(
         return SampleSet(np.concatenate([pos, -pos]))
     if preset in ("fourier", "deconv"):
         n = 128 if n_s is None else n_s
-        return SampleSet(rng.uniform(-5.0, 5.0, size=n).astype(complex))
+        return SampleSet(rng.uniform(-5.0, 5.0, size=n))
     # laplace
     n = 100 if n_s is None else n_s
-    return SampleSet(rng.uniform(0.0, 10.0, size=n).astype(complex))
+    return SampleSet(rng.uniform(0.0, 10.0, size=n))
 
 
 def synthesize(kernel: KernelDescriptor, signal: SpikeSignal, samples: SampleSet) -> np.ndarray:
@@ -226,10 +240,9 @@ def add_noise(u: np.ndarray, sigma: float, rng_seed: int) -> Observations:
     """Multiplicative Gaussian noise: u_j * (1 + sigma * Z_j), Z_j ~ N(0, 1)."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    u = np.asarray(u, dtype=complex)
+    u = as_float(u)
     z = _rng(rng_seed, stream=1).standard_normal(u.size)
-    noisy = u * (1.0 + sigma * z)
-    return Observations(exact=u, noisy=noisy, sigma=float(sigma), seed=int(rng_seed))
+    return Observations(exact=u, noisy=u * (1.0 + sigma * z), sigma=sigma, seed=rng_seed)
 
 
 def build_collocation_system(

@@ -9,7 +9,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import SizeMismatch
-from .kernels import SpikeSignal
+from .kernels import SpikeSignal, as_float
 
 EXHAUSTIVE_LIMIT = 8
 
@@ -50,8 +50,8 @@ def match_and_error(truth: SpikeSignal, recovered) -> ErrorPair:
     exhaustively for up to 8 spikes; the weight error uses the same
     permutation.  `recovered` is anything with .locations and .weights.
     """
-    rec_locs = np.asarray(recovered.locations, dtype=complex)
-    rec_wts = np.asarray(recovered.weights, dtype=complex)
+    rec_locs = as_float(recovered.locations)
+    rec_wts = as_float(recovered.weights)
     if rec_locs.size != truth.n_x or rec_wts.size != truth.n_x:
         raise SizeMismatch(
             f"truth has {truth.n_x} spikes, recovery has {rec_locs.size}"

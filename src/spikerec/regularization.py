@@ -3,7 +3,8 @@
 Truncated pseudo-inverse application, Tikhonov filtering, and L-curve
 selection of the regularization parameter.  Everything works on a fixed
 SVD of the (column-normalized) collocation matrix, so repeated solves at
-different gamma are cheap.
+different gamma are cheap.  Real data is factored and filtered in real
+arithmetic, complex data in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllTruncated, ConvergenceFailure, FlatCurveWarning
+from .kernels import as_float
 
 LCURVE_FLOOR = 1e-12  # lower grid bound as a multiple of sigma_1
 SVD_DROP = 1e-15  # singular values below SVD_DROP * sigma_1 are discarded
@@ -22,7 +24,8 @@ LCURVE_MIN_GRID = 16  # fewest gamma grid points the corner scan accepts
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Thin SVD with strictly positive, nonincreasing singular values."""
+    """Thin SVD with strictly positive, nonincreasing singular values; the
+    singular vectors are real for a real matrix and complex otherwise."""
 
     left: np.ndarray  # n_s x r, orthonormal columns
     singular_values: np.ndarray  # length r
@@ -44,7 +47,7 @@ class TikhonovSolution:
 
 def compute_svd(matrix: np.ndarray) -> SvdFactors:
     """Thin SVD, dropping singular values below SVD_DROP * sigma_1."""
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = as_float(matrix)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix must be finite-valued")
     try:
@@ -95,7 +98,7 @@ def tikhonov_solve(factors: SvdFactors, rhs: np.ndarray, gamma: float) -> Tikhon
     """Minimizer of ||G v - rhs||^2 + gamma^2 ||v||^2 via SVD filter factors."""
     if not 0 < gamma < np.inf:  # False for NaN
         raise ValueError("gamma must be finite and positive")
-    rhs = np.asarray(rhs, dtype=complex)
+    rhs = as_float(rhs)
     beta = factors.left.conj().T @ rhs
     perp_sq = max(float(np.linalg.norm(rhs) ** 2 - np.linalg.norm(beta) ** 2), 0.0)
     v, res, sol = _tikhonov_from_coeffs(factors, beta, perp_sq, gamma)
@@ -153,7 +156,7 @@ def _neg_curvature(gamma, s_sq, weights, perp_sq):
     """Negative curvature of (log residual, log solution) at gamma.
 
     Analytic first/second derivatives from the SVD expansion, following
-    Hansen's regularization-tools formulation adapted to complex data.
+    Hansen's regularization-tools formulation, for real or complex data.
     `s_sq` is s * s and `weights` the (6, r) stack (|xi|^2, |beta|^2) * 3.
     A scalar `gamma` gives a float, a 1-D grid one value per gamma.
     """
@@ -270,12 +273,12 @@ def lcurve_select(
     table is built here.  The scan then weights it by this rhs alone.
     """
     grid, terms = lcurve_table(factors, grid_size) if table is None else table
-    rhs = np.asarray(rhs, dtype=complex)
+    rhs = as_float(rhs)
     s = factors.singular_values
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         # degenerate rhs: curvature is 0/0 everywhere
-        zero = np.zeros(factors.right.shape[0], dtype=complex)
+        zero = np.zeros(factors.right.shape[0], np.result_type(factors.right, rhs))
         return TikhonovSolution(
             v=zero, gamma=float(s[0]), residual_norm=0.0, solution_norm=0.0, flagged=True
         )

@@ -15,7 +15,7 @@ from spikerec import (
 from spikerec import eigenmatrix, experiments
 from spikerec.cli import main as cli_main
 from spikerec.errors import ConvergenceFailure, UnknownPreset
-from spikerec.kernels import SampleSet
+from spikerec.kernels import Observations, SampleSet
 from spikerec.experiments import emit_report
 
 
@@ -320,6 +320,20 @@ class TestEmitReport:
         rows = (tmp_path / "csv" / "records.csv").read_text().splitlines()[1:]
         assert [row[:16] for row in rows] == ["fourier,pinv,1,0", "fourier,pinv,1,1"]
         assert (tmp_path / "plotdata" / "fourier_sigma1_pinv.dat").exists()
+
+    def test_observations_built_with_numpy_scalars(self, tmp_path):
+        # an Observations built by hand, not by add_noise, still gives a
+        # record that json can write
+        p = load_preset("fourier")
+        samples = p.samples(0)
+        prepared = prepare(p.kernel, samples, p.nodes())
+        obs = add_noise(synthesize(p.kernel, p.truth, samples), 0.01, 0)
+        obs = Observations(obs.exact, obs.noisy, np.float64(0.01), np.int64(0))
+        rec = run_one(p, make_method("pinv"), prepared, obs)
+        assert type(rec.seed) is int and type(rec.sigma) is float
+        emit_report([rec], "json", tmp_path, include_timing=False)
+        (obj,) = json.loads((tmp_path / "records.json").read_text())
+        assert (obj["sigma"], obj["seed"], obj["failed_stage"]) == (0.01, 0, None)
 
     def test_json_round_trip(self, records, tmp_path):
         paths = emit_report(records, "json", tmp_path)

@@ -17,7 +17,7 @@ from spikerec import (
     uniform_circle_nodes,
 )
 from spikerec.errors import DegenerateColumn, DomainError, UnknownPreset
-from spikerec.kernels import CollocationNodes
+from spikerec.kernels import CollocationNodes, Observations
 
 RATIONAL = KernelDescriptor(Kind.RATIONAL, UNIT_DISK)
 FOURIER = KernelDescriptor(Kind.FOURIER, Domain("interval", -1, 1))
@@ -216,3 +216,61 @@ class TestSignalValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SpikeSignal([0.5, 0.2], [1.0])
+
+
+class TestDtypeRule:
+    """Arrays keep the type of their data: real input is float64 and complex
+    input complex128, with integer and float32 input promoted to float64."""
+
+    CASES = {
+        "float64": (np.array([1.0, 2.0]), np.float64),
+        "complex128": (np.array([1.0, 2.0j]), np.complex128),
+        "int": (np.array([1, 2]), np.float64),
+        "float32": (np.array([1.0, 2.0], dtype=np.float32), np.float64),
+        "complex64": (np.array([1.0, 2.0j], dtype=np.complex64), np.complex128),
+        "list": ([1, 2], np.float64),
+    }
+
+    @pytest.mark.parametrize("values, dtype", CASES.values(), ids=CASES.keys())
+    def test_containers(self, values, dtype):
+        assert SampleSet(values).points.dtype == dtype
+        assert CollocationNodes(values).nodes.dtype == dtype
+        signal = SpikeSignal(values, values)
+        assert signal.locations.dtype == signal.weights.dtype == dtype
+        obs = Observations(values, values, 0.01, 0)
+        assert obs.exact.dtype == obs.noisy.dtype == dtype
+
+    def test_observation_settings_are_python_numbers(self):
+        obs = Observations(np.ones(2), np.ones(2), np.float64(0.5), np.int64(3))
+        assert (type(obs.sigma), type(obs.seed)) == (float, int)
+        assert (obs.sigma, obs.seed) == (0.5, 3)
+
+    @pytest.mark.parametrize(
+        "kernel", [RATIONAL, FOURIER, LAPLACE, CAUCHY], ids=lambda k: k.kind.value
+    )
+    def test_eval_kernel_scalar_in_scalar_out(self, kernel):
+        assert np.isscalar(eval_kernel(kernel, 2.0, 0.5))
+        assert np.isscalar(eval_kernel(kernel, np.float32(2.0), 1))
+
+    @pytest.mark.parametrize(
+        "kernel, dtype",
+        [(RATIONAL, np.float64), (FOURIER, np.complex128), (LAPLACE, np.float64),
+         (CAUCHY, np.float64)],
+        ids=["rational", "fourier", "laplace", "cauchy_squared"],
+    )
+    def test_eval_kernel_on_real_points(self, kernel, dtype):
+        s = np.array([2.0, 3.0], dtype=np.float32)
+        assert eval_kernel(kernel, s[:, None], np.array([0, 1])[None, :]).dtype == dtype
+        assert eval_kernel(kernel, s, 0.5j).dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "preset, dtype",
+        [("rational", np.complex128), ("spectral", np.complex128), ("fourier", np.float64),
+         ("laplace", np.float64), ("deconv", np.float64)],
+    )
+    def test_sample_points(self, preset, dtype):
+        assert generate_samples(preset, 0).points.dtype == dtype
+
+    def test_nodes(self):
+        assert chebyshev_nodes(8, 0.1, 2.1).nodes.dtype == np.float64
+        assert uniform_circle_nodes(8).nodes.dtype == np.complex128

@@ -1,8 +1,13 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import spikerec.cli
 
 ORACLE = Path(__file__).resolve().parents[1] / "tools" / "oracle.py"
 
@@ -106,3 +111,33 @@ class TestCompareWithinRtol:
         finite = _record(0)
         finite["condV_minus"] = 1.0
         assert self._compare(oracle, tmp_path, [finite, _record(1)]) == 1
+
+
+class TestWrite:
+    def test_reports_are_written_on_one_blas_thread(self, oracle, tmp_path, monkeypatch):
+        for name in oracle.ONE_BLAS_THREAD:
+            monkeypatch.setenv(name, "2")
+        seen = []
+
+        def main(argv):
+            seen.append({name: os.environ[name] for name in oracle.ONE_BLAS_THREAD})
+            return 0
+
+        monkeypatch.setattr(spikerec.cli, "main", main)
+        assert oracle.write(tmp_path) == 0
+        one = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        assert seen == [one] * 10  # five presets, two formats
+
+    def test_loading_the_oracle_leaves_numpy_unloaded(self):
+        # BLAS reads its thread count when NumPy is first imported, so the
+        # setting in write() holds only if nothing loaded NumPy before it
+        code = (
+            "import importlib.util, sys; "
+            "spec = importlib.util.spec_from_file_location('oracle', sys.argv[1]); "
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec)); "
+            "print('numpy' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(ORACLE)], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

@@ -3,14 +3,18 @@
 from itertools import permutations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikerec import add_noise, load_preset, make_method, prepare, recover, synthesize
-from spikerec.kernels import PRESET_IDS, Observations, SampleSet
+from spikerec.kernels import (
+    PRESET_IDS, CollocationNodes, Observations, SampleSet, SpikeSignal
+)
 from spikerec.regularization import tikhonov_solve
 
 RTOL = 1e-12  # round-off allowance on the monotone norms
 PERM_RTOL = 1e-6  # round-off allowance on a recovery from reordered samples
+REAL_RTOL = 1e-6  # real against complex arithmetic on the same real data
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -62,10 +66,16 @@ def test_tikhonov_norms_monotone_in_gamma(preset_id, sigma_index, seed, log_gamm
         assert high.solution_norm <= low.solution_norm * (1 + RTOL)
 
 
-def _matched_gap(a, b):
-    """Largest |a_k - b_p(k)| under the best assignment p, relative to max |a|."""
-    gap = min(np.abs(a - b[list(p)]).max() for p in permutations(range(b.size)))
-    return gap / np.abs(a).max()
+def _best_assignment(a, b):
+    """The permutation p minimising max |a_k - b_p(k)|."""
+    return list(min(permutations(range(b.size)), key=lambda p: np.abs(a - b[list(p)]).max()))
+
+
+def _matched_gap(a, b, p=None):
+    """Largest |a_k - b_p(k)| under the assignment p (by default the best one),
+    relative to max |a|."""
+    p = _best_assignment(a, b) if p is None else p
+    return np.abs(a - b[p]).max() / np.abs(a).max()
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -93,3 +103,50 @@ def test_permuting_samples_keeps_the_recovery(preset_id, method, sigma_index, se
     result = recover(config, prepare(preset.kernel, moved, preset.nodes()), moved_obs)
     np.testing.assert_allclose(result.gamma_or_tol, base.gamma_or_tol, rtol=PERM_RTOL)
     assert _matched_gap(base.locations, result.locations) <= PERM_RTOL
+
+
+def _promoted(preset, seed, sigma, dtype):
+    """prepare() and the observation of one cell, with the samples, nodes,
+    truth and u cast to `dtype`."""
+    samples = SampleSet(preset.samples(seed).points.astype(dtype))
+    nodes = CollocationNodes(preset.nodes().nodes.astype(dtype))
+    truth = SpikeSignal(*(a.astype(dtype) for a in (preset.truth.locations, preset.truth.weights)))
+    u = synthesize(preset.kernel, truth, samples).astype(dtype)
+    return prepare(preset.kernel, samples, nodes), add_noise(u, sigma, seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    preset_id=st.sampled_from(("laplace", "deconv")),
+    method=st.sampled_from(("lcurve", "pinv")),
+    sigma_index=st.integers(0, 2),
+    seed=st.integers(0, 39),
+)
+def test_real_arithmetic_is_the_same_maths(preset_id, method, sigma_index, seed):
+    # Laplace and deconvolution data is real, so G-hat, its SVD, M, the
+    # Krylov matrix and the weight solve are float64.  The same data promoted
+    # to complex128 takes complex LAPACK instead; only round-off may differ.
+    preset = load_preset(preset_id)
+    sigma = preset.sigma_list[sigma_index]
+    real, real_obs = _promoted(preset, seed, sigma, np.float64)
+    cplx, cplx_obs = _promoted(preset, seed, sigma, np.complex128)
+    for p, dtype in ((real, np.float64), (cplx, np.complex128)):
+        arrays = (p.system.normalized, p.factors.left, p.factors.right, p.factors.singular_values)
+        assert [a.dtype for a in arrays] == [dtype, dtype, dtype, np.float64]
+    config = make_method(method)
+    got = recover(config, real, real_obs)
+    want = recover(config, cplx, cplx_obs)
+    assert got.locations.dtype == got.weights.dtype == np.float64
+    np.testing.assert_allclose(got.gamma_or_tol, want.gamma_or_tol, rtol=REAL_RTOL)
+    p = _best_assignment(want.locations, got.locations)
+    assert _matched_gap(want.locations, got.locations, p) <= REAL_RTOL
+    assert _matched_gap(want.weights, got.weights, p) <= REAL_RTOL
+
+
+@pytest.mark.parametrize("preset_id", ("rational", "spectral", "fourier"))
+def test_complex_kernels_stay_complex(preset_id):
+    # complex samples (rational, spectral) or a complex kernel (fourier)
+    preset = load_preset(preset_id)
+    prepared = prepare(preset.kernel, preset.samples(0), preset.nodes())
+    arrays = (prepared.system.normalized, prepared.factors.left, prepared.factors.right)
+    assert [a.dtype for a in arrays] == [np.complex128] * 3

@@ -1,3 +1,5 @@
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -392,12 +394,81 @@ class TestGolden:
             _brent(lambda x: (x - 1.0) ** 2, *brack, *values)
 
 
-# Seed 0 of every preset at its default sigmas, smallest gamma first: the
-# gamma lcurve_select returns and the negative curvature there, as
-# float.hex().  The gamma moves when round-off flips a comparison inside
-# Brent's method; the curvature shows any round-off change in the L-curve,
-# and fails here, not only in the byte-compared oracle reports.
+def lcurve_corners(preset_id):
+    """Seed 0's L-curve corners at the preset's default sigmas, smallest gamma
+    first: the gamma lcurve_select returns and the negative curvature there,
+    as float.hex().  Patches spikerec.eigenmatrix, so it runs in a process
+    of its own (see one_thread_corners)."""
+    corners = []
+
+    def spy(factors, rhs, **kwargs):
+        sol = lcurve_select(factors, rhs, **kwargs)
+        _, args = curvature_args(factors, rhs)
+        corners.append((sol.gamma, _neg_curvature(sol.gamma, *args)))
+        return sol
+
+    spikerec.eigenmatrix.lcurve_select = spy
+    preset = load_preset(preset_id)
+    records = run_sweep(preset, [make_method("lcurve", n_x=preset.truth.n_x)], [0])
+    assert [r.failed_stage for r in records] == [None] * 3
+    return [[float(g).hex(), float(k).hex()] for g, k in sorted(corners)]
+
+
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@pytest.fixture(scope="module")
+def one_thread_corners():
+    """lcurve_corners of every preset, from a fresh interpreter with BLAS on
+    one thread: the split of spectral's 256-row products, and so the last
+    bits of its corners, depends on the thread count."""
+    src = str(Path(spikerec.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    out = subprocess.run(
+        [sys.executable, __file__, *PRESET_IDS], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+# lcurve_corners on one BLAS thread.  The gamma moves when round-off flips a
+# comparison inside Brent's method; the curvature shows any round-off change
+# in the L-curve, and fails here, not only in the byte-compared oracle
+# reports.
 PINNED_CORNERS = {
+    "rational": (
+        ("0x1.56be084e2d162p-9", "-0x1.659e6bc9942c2p+3"),
+        ("0x1.ed5e625b8af90p-6", "-0x1.6f1efd32bc20cp+3"),
+        ("0x1.3a1ae5c0ee7c2p-2", "-0x1.2d74a8106d62bp+2"),
+    ),
+    "spectral": (
+        ("0x1.8eacce4f0a454p-10", "-0x1.827dd21920d13p+3"),
+        ("0x1.03f9345c6580bp-6", "-0x1.57435faa41eafp+2"),
+        ("0x1.0051f4c7ff585p-2", "-0x1.9d225d4200117p+1"),
+    ),
+    "fourier": (
+        ("0x1.bd86e6f083c0dp-10", "-0x1.bbad6172cc58bp+4"),
+        ("0x1.73d2234aba49dp-7", "-0x1.1f22bf3034a90p+8"),
+        ("0x1.b4e17115d2850p-4", "-0x1.389695db7a768p+4"),
+    ),
+    "laplace": (
+        ("0x1.8500d7bcc5c45p-11", "-0x1.f90316fa2f45ep+7"),
+        ("0x1.c18c9625c3d6ap-8", "-0x1.4a198a0f82ceap+5"),
+        ("0x1.0e70b590c39b3p-3", "-0x1.e1e5b2cb60de8p+2"),
+    ),
+    "deconv": (
+        ("0x1.a7b5a4cc1400bp-10", "-0x1.86acef8789b39p+2"),
+        ("0x1.418856d628209p-5", "-0x1.2fb6ab89270a1p+2"),
+        ("0x1.9fe43ae29e93ep-2", "-0x1.68d5608ba781cp+3"),
+    ),
+}
+
+# The same corners before laplace and deconv ran in real arithmetic (every
+# preset was promoted to complex128), recorded with OpenBLAS on two threads;
+# the real-arithmetic corners agree with them within the numerical contract
+# (tools/oracle.py --rtol).
+PINNED_CORNERS_COMPLEX = {
     "rational": (
         ("0x1.56be084e2d162p-9", "-0x1.659e6bc9942c2p+3"),
         ("0x1.ed5e625b8af90p-6", "-0x1.6f1efd32bc20cp+3"),
@@ -459,28 +530,25 @@ CONTRACT_RTOL = 1e-6
 
 
 @pytest.mark.parametrize("preset_id", sorted(PINNED_CORNERS))
-def test_lcurve_corner_bitwise_pinned(preset_id, monkeypatch):
-    corners = []
-
-    def spy(factors, rhs, **kwargs):
-        sol = lcurve_select(factors, rhs, **kwargs)
-        _, args = curvature_args(factors, rhs)
-        corners.append((sol.gamma, _neg_curvature(sol.gamma, *args)))
-        return sol
-
-    monkeypatch.setattr(spikerec.eigenmatrix, "lcurve_select", spy)
-    preset = load_preset(preset_id)
-    records = run_sweep(preset, [make_method("lcurve", n_x=preset.truth.n_x)], [0])
-    assert [r.failed_stage for r in records] == [None] * 3
-    got = tuple((float(g).hex(), float(k).hex()) for g, k in sorted(corners))
+def test_lcurve_corner_bitwise_pinned(preset_id, one_thread_corners):
+    got = tuple(tuple(corner) for corner in one_thread_corners[preset_id])
     assert got == PINNED_CORNERS[preset_id]
+
+
+def _assert_corners_within_contract(corners, reference):
+    for new, old in zip(corners, reference, strict=True):
+        got, want = [float.fromhex(x) for x in new], [float.fromhex(x) for x in old]
+        np.testing.assert_allclose(got, want, rtol=CONTRACT_RTOL, atol=0)
 
 
 @pytest.mark.parametrize("preset_id", sorted(PINNED_CORNERS))
 def test_brent_corners_within_contract_of_golden(preset_id):
-    for new, old in zip(PINNED_CORNERS[preset_id], PINNED_CORNERS_GOLDEN[preset_id]):
-        got, want = [float.fromhex(x) for x in new], [float.fromhex(x) for x in old]
-        np.testing.assert_allclose(got, want, rtol=CONTRACT_RTOL, atol=0)
+    _assert_corners_within_contract(PINNED_CORNERS[preset_id], PINNED_CORNERS_GOLDEN[preset_id])
+
+
+@pytest.mark.parametrize("preset_id", sorted(PINNED_CORNERS))
+def test_real_corners_within_contract_of_complex(preset_id):
+    _assert_corners_within_contract(PINNED_CORNERS[preset_id], PINNED_CORNERS_COMPLEX[preset_id])
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -493,3 +561,7 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+if __name__ == "__main__":
+    print(json.dumps({preset_id: lcurve_corners(preset_id) for preset_id in sys.argv[1:]}))

@@ -6,7 +6,8 @@
 
 Each preset runs seeds 0-39 with the lcurve and pinv methods at its default
 noise levels, through the `recover` command line of the checkout this file
-sits in.  A change that keeps the program's behaviour keeps every file
+sits in, with BLAS on one thread (ONE_BLAS_THREAD): the split of a product
+across threads moves its last bits.  A change that keeps the program's behaviour keeps every file
 byte-identical; `--compare` lists the files that differ and exits 1 if any
 does.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import permutations
 from pathlib import Path
@@ -34,9 +36,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = 40
 FORMATS = ("csv", "json")
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def write(outdir: Path) -> int:
+    # BLAS reads these when NumPy is first imported, which is below
+    os.environ.update(ONE_BLAS_THREAD)
     sys.path.insert(0, str(ROOT / "src"))
     from spikerec.cli import main
     from spikerec.kernels import PRESET_IDS
