@@ -130,8 +130,9 @@ def test_real_arithmetic_is_the_same_maths(preset_id, method, sigma_index, seed)
     sigma = preset.sigma_list[sigma_index]
     real, real_obs = _promoted(preset, seed, sigma, np.float64)
     cplx, cplx_obs = _promoted(preset, seed, sigma, np.complex128)
-    for p, dtype in ((real, np.float64), (cplx, np.complex128)):
-        arrays = (p.system.normalized, p.factors.left, p.factors.right, p.factors.singular_values)
+    for prepared, dtype in ((real, np.float64), (cplx, np.complex128)):
+        factors = prepared.factors
+        arrays = (prepared.system.normalized, factors.left, factors.right, factors.singular_values)
         assert [a.dtype for a in arrays] == [dtype, dtype, dtype, np.float64]
     config = make_method(method)
     got = recover(config, real, real_obs)

@@ -7,9 +7,9 @@
 Each preset runs seeds 0-39 with the lcurve and pinv methods at its default
 noise levels, through the `recover` command line of the checkout this file
 sits in, with BLAS on one thread (ONE_BLAS_THREAD): the split of a product
-across threads moves its last bits.  A change that keeps the program's behaviour keeps every file
-byte-identical; `--compare` lists the files that differ and exits 1 if any
-does.
+across threads moves its last bits.  A change that keeps the program's
+behaviour keeps every file byte-identical; `--compare` lists the files that
+differ and exits 1 if any does.
 
 A change that moves floating-point round-off on purpose states a tolerance R
 and compares with `--rtol R` against the reference A written before it.  That
