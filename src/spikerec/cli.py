@@ -18,6 +18,7 @@ from .experiments import emit_report, load_preset, make_method, run_sweep
 from .kernels import PRESET_IDS
 
 CONFIG_KEYS = frozenset(("n_s", "n_a", "beta", "sigma_list", "l", "tol_factor", "grid_size"))
+METHOD_FLAGS = (("gamma", "fixed-gamma"), ("tol_factor", "pinv"), ("grid_size", "lcurve"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--seed-list", type=int, nargs="+", help="explicit seeds")
     p.add_argument("--l", type=int, help="Krylov parameter (default n_x+2)")
     p.add_argument("--tol-factor", type=float, help="pinv cutoff / Frobenius norm (default 1e-4)")
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=float, help="Tikhonov gamma of fixed-gamma")
     p.add_argument("--beta", type=float, help="Matsubara beta (spectral)")
     p.add_argument("--grid-size", type=int, help="L-curve gamma grid points (default 200)")
     p.add_argument("--out", default="results")
@@ -91,8 +92,9 @@ def main(argv=None) -> int:
     preset_args = {k: v for k, v in settings.items() if k in preset_keys}
     method_args = {k: v for k, v in settings.items() if k not in preset_keys}
     names = args.method or ["lcurve"]
-    if args.gamma is not None and "fixed-gamma" not in names:
-        return _usage_error("--gamma is used only by --method fixed-gamma")
+    for key, method in METHOD_FLAGS:
+        if getattr(args, key) is not None and method not in names:
+            return _usage_error(f"--{key.replace('_', '-')} is used only by --method {method}")
     try:
         preset = load_preset(args.preset, **preset_args)
         methods = [

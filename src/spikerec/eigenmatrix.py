@@ -29,6 +29,7 @@ from .kernels import (
     eval_kernel,
 )
 from .regularization import (
+    LCURVE_GRID,
     LCURVE_MIN_GRID,
     SvdFactors,
     compute_svd,
@@ -57,11 +58,11 @@ class MethodConfig:
     l: int | None = None  # Krylov parameter; defaults to n_x + 2
     tol_factor: float = 1e-4  # ORIGINAL_PINV: threshold as multiple of ||G-hat||_F
     gamma: float | None = None  # REGULARIZED_FIXED_GAMMA only, None elsewhere
-    lcurve_grid_size: int = 200
+    grid_size: int = LCURVE_GRID  # REGULARIZED_LCURVE: gamma grid points
 
     def __post_init__(self):
-        if self.n_x < 1:
-            raise ValueError("n_x must be >= 1")
+        if not (is_integer(self.n_x) and self.n_x >= 1):
+            raise ValueError(f"n_x must be an integer >= 1, not {self.n_x!r}")
         if self.l is None:
             # higher Krylov powers amplify the collocation error on the
             # ill-conditioned presets, so keep A skinny by default
@@ -70,9 +71,9 @@ class MethodConfig:
             raise ValueError(f"l must be an integer > n_x = {self.n_x}, not {self.l!r}")
         if not (is_real(self.tol_factor) and 0 < self.tol_factor < np.inf):
             raise ValueError(f"tol_factor must be finite and > 0, not {self.tol_factor!r}")
-        if not (is_integer(self.lcurve_grid_size) and self.lcurve_grid_size >= LCURVE_MIN_GRID):
+        if not (is_integer(self.grid_size) and self.grid_size >= LCURVE_MIN_GRID):
             raise ValueError(
-                f"grid_size must be an integer >= {LCURVE_MIN_GRID}, not {self.lcurve_grid_size!r}"
+                f"grid_size must be an integer >= {LCURVE_MIN_GRID}, not {self.grid_size!r}"
             )
         if self.variant is not Variant.REGULARIZED_FIXED_GAMMA:
             if self.gamma is not None:
@@ -269,9 +270,9 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
         else:
             stage = "tikhonov"
             if config.variant is Variant.REGULARIZED_LCURVE:
-                key = ("lcurve", config.lcurve_grid_size)
+                key = ("lcurve", config.grid_size)
                 if key not in pieces:
-                    pieces[key] = lcurve_table(factors, config.lcurve_grid_size)
+                    pieces[key] = lcurve_table(factors, config.grid_size)
                 sol = lcurve_select(factors, u, table=pieces[key])
             else:
                 sol = tikhonov_solve(factors, u, config.gamma)

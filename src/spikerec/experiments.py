@@ -17,6 +17,7 @@ from .eigenmatrix import (
 from .errors import SpikerecError, UnknownPreset
 from .kernels import (
     DEFAULT_BETA,
+    PRESET_N_S,
     CollocationNodes,
     Domain,
     KernelDescriptor,
@@ -46,19 +47,16 @@ class ExperimentPreset:
     truth: SpikeSignal
     n_s: int
     n_a: int
-    node_law: str
     sigma_list: tuple
-    beta: float | None = None
+    beta: float  # Matsubara scale; only the spectral samples use it
 
     def nodes(self) -> CollocationNodes:
-        if self.node_law == "circle":
+        if self.kernel.domain.kind == "disk":
             return uniform_circle_nodes(self.n_a)
-        lo, hi = self.kernel.domain.lo, self.kernel.domain.hi
-        return chebyshev_nodes(self.n_a, lo, hi)
+        return chebyshev_nodes(self.n_a, self.kernel.domain.lo, self.kernel.domain.hi)
 
     def samples(self, seed: int) -> SampleSet:
-        beta = self.beta if self.beta is not None else DEFAULT_BETA
-        return generate_samples(self.id, seed, beta=beta, n_s=self.n_s)
+        return generate_samples(self.id, seed, beta=self.beta, n_s=self.n_s)
 
 
 @dataclass
@@ -94,17 +92,11 @@ _NAMES = tuple(f.name for f in fields(RunRecord))
 CSV_COLUMNS = _NAMES[: _NAMES.index("wall_time_ms") + 1]
 
 
-def _default_sigmas(preset_id: str) -> tuple:
-    if preset_id == "laplace":
-        return (5e-2, 5e-3, 5e-4)
-    return (1e-1, 1e-2, 1e-3)
-
-
 def load_preset(
     id: str,
     beta: float = DEFAULT_BETA,
     n_s: int | None = None,
-    n_a: int | None = None,
+    n_a: int = 32,
     sigma_list: tuple | None = None,
 ) -> ExperimentPreset:
     """The five benchmark configurations, optionally overriding grid sizes.
@@ -113,32 +105,26 @@ def load_preset(
     at least the spike count (even `n_s` on spectral), `beta` is finite and
     > 0, and `sigma_list` is a non-empty list or tuple of finite values >= 0.
     """
-    ones = np.ones(4)
     if id == "rational":
         kernel = KernelDescriptor(Kind.RATIONAL, UNIT_DISK)
         locs = 0.9 * np.exp(2j * np.pi * np.array([0.2, 0.5, 0.8, 1.0]))
-        base_ns, law = 40, "circle"
     elif id == "spectral":
         kernel = KernelDescriptor(Kind.SPECTRAL_RATIONAL, Domain("interval", -1.0, 1.0))
         locs = np.array([-0.9, -0.2, 0.2, 0.9])
-        base_ns, law = 256, "chebyshev"
     elif id == "fourier":
         kernel = KernelDescriptor(Kind.FOURIER, Domain("interval", -1.0, 1.0))
         locs = np.array([-0.9, 0.0, 0.5, 0.9])
-        base_ns, law = 128, "chebyshev"
     elif id == "laplace":
         kernel = KernelDescriptor(Kind.LAPLACE, Domain("interval", 0.1, 2.1))
         locs = np.array([0.2, 1.1, 1.6, 2.0])
-        base_ns, law = 100, "chebyshev"
     elif id == "deconv":
         kernel = KernelDescriptor(Kind.CAUCHY_SQUARED, Domain("interval", -1.0, 1.0))
         locs = np.array([-0.9, 0.0, 0.5, 0.9])
-        base_ns, law = 128, "chebyshev"
     else:
         raise UnknownPreset(f"unknown preset {id!r}")
-    n_s = base_ns if n_s is None else n_s
-    n_a = 32 if n_a is None else n_a
-    sigma_list = _default_sigmas(id) if sigma_list is None else sigma_list
+    n_s = PRESET_N_S[id] if n_s is None else n_s
+    if sigma_list is None:
+        sigma_list = (5e-2, 5e-3, 5e-4) if id == "laplace" else (1e-1, 1e-2, 1e-3)
     # ESPRIT needs n_x sample rows, and rank(A) <= rank(G-hat) <= n_a
     for key, value in (("n_s", n_s), ("n_a", n_a)):
         if not (is_integer(value) and value >= locs.size):
@@ -154,12 +140,11 @@ def load_preset(
     return ExperimentPreset(
         id=id,
         kernel=kernel,
-        truth=SpikeSignal(locs, ones),
+        truth=SpikeSignal(locs, np.ones(locs.size)),
         n_s=n_s,
         n_a=n_a,
-        node_law=law,
         sigma_list=tuple(sigma_list),
-        beta=beta if id == "spectral" else None,
+        beta=beta,
     )
 
 
@@ -298,14 +283,10 @@ def _emit_plotdata(records, outdir: Path) -> list:
     return paths
 
 
-def make_method(
-    name: str, n_x: int = 4, l: int | None = None, tol_factor: float = 1e-4,
-    gamma: float | None = None, grid_size: int = 200,
-) -> MethodConfig:
+def make_method(name: str, n_x: int = 4, **settings) -> MethodConfig:
+    """`MethodConfig` of method `name`; `settings` are its other fields."""
     try:
         variant = Variant(name)
     except ValueError:
         raise ValueError(f"unknown method {name!r}") from None
-    return MethodConfig(
-        variant, n_x, l=l, tol_factor=tol_factor, gamma=gamma, lcurve_grid_size=grid_size
-    )
+    return MethodConfig(variant, n_x, **settings)

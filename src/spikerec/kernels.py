@@ -24,7 +24,8 @@ from numpy.random import Generator, SeedSequence, default_rng
 
 from .errors import DegenerateColumn, DomainError, UnknownPreset
 
-PRESET_IDS = ("rational", "spectral", "fourier", "laplace", "deconv")
+PRESET_N_S = {"rational": 40, "spectral": 256, "fourier": 128, "laplace": 100, "deconv": 128}
+PRESET_IDS = tuple(PRESET_N_S)  # the presets in their canonical order
 
 # Matsubara scale for the spectral preset; no published value exists, and
 # this default keeps the error-vs-noise trend monotone across the benchmark
@@ -207,26 +208,23 @@ def generate_samples(
     +/- (2j-1)*pi*i/beta (seed ignored).  fourier/deconv: uniform on
     [-5, 5].  laplace: uniform on [0, 10].
     """
-    if preset not in PRESET_IDS:
+    if preset not in PRESET_N_S:
         raise UnknownPreset(f"unknown preset {preset!r}")
+    n = PRESET_N_S[preset] if n_s is None else n_s
     rng = _rng(rng_seed, stream=0)
     if preset == "rational":
-        n = 40 if n_s is None else n_s
         r = rng.uniform(1.2, 2.2, size=n)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
         return SampleSet(r * np.exp(1j * theta))
     if preset == "spectral":
-        n = 256 if n_s is None else n_s
         if n % 2 != 0:
             raise ValueError("spectral preset needs an even sample count")
         j = np.arange(1, n // 2 + 1)
         pos = 1j * (2 * j - 1) * np.pi / beta
         return SampleSet(np.concatenate([pos, -pos]))
     if preset in ("fourier", "deconv"):
-        n = 128 if n_s is None else n_s
         return SampleSet(rng.uniform(-5.0, 5.0, size=n))
     # laplace
-    n = 100 if n_s is None else n_s
     return SampleSet(rng.uniform(0.0, 10.0, size=n))
 
 
@@ -238,8 +236,8 @@ def synthesize(kernel: KernelDescriptor, signal: SpikeSignal, samples: SampleSet
 
 def add_noise(u: np.ndarray, sigma: float, rng_seed: int) -> Observations:
     """Multiplicative Gaussian noise: u_j * (1 + sigma * Z_j), Z_j ~ N(0, 1)."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:  # False for NaN
+        raise ValueError(f"sigma must be finite and >= 0, not {sigma!r}")
     u = as_float(u)
     z = _rng(rng_seed, stream=1).standard_normal(u.size)
     return Observations(exact=u, noisy=u * (1.0 + sigma * z), sigma=sigma, seed=rng_seed)

@@ -20,6 +20,7 @@ from .kernels import as_float
 LCURVE_FLOOR = 1e-12  # lower grid bound as a multiple of sigma_1
 SVD_DROP = 1e-15  # singular values below SVD_DROP * sigma_1 are discarded
 LCURVE_MIN_GRID = 16  # fewest gamma grid points the corner scan accepts
+LCURVE_GRID = 200  # gamma grid points of the corner scan by default
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,14 @@ def truncated_pinv_apply(factors: SvdFactors, tol: float, rhs: np.ndarray) -> np
     return right @ ((left.conj().T @ rhs) / s)
 
 
+def _project(factors: SvdFactors, rhs: np.ndarray) -> tuple:
+    """(rhs, U^H rhs, squared norm of rhs's part outside the range of U)."""
+    rhs = as_float(rhs)
+    beta = factors.left.conj().T @ rhs
+    perp_sq = max(float(np.linalg.norm(rhs) ** 2 - np.linalg.norm(beta) ** 2), 0.0)
+    return rhs, beta, perp_sq
+
+
 def _tikhonov_from_coeffs(factors, beta, perp_sq, gamma):
     s = factors.singular_values
     filt = s / (s**2 + gamma**2)
@@ -98,9 +107,7 @@ def tikhonov_solve(factors: SvdFactors, rhs: np.ndarray, gamma: float) -> Tikhon
     """Minimizer of ||G v - rhs||^2 + gamma^2 ||v||^2 via SVD filter factors."""
     if not 0 < gamma < np.inf:  # False for NaN
         raise ValueError("gamma must be finite and positive")
-    rhs = as_float(rhs)
-    beta = factors.left.conj().T @ rhs
-    perp_sq = max(float(np.linalg.norm(rhs) ** 2 - np.linalg.norm(beta) ** 2), 0.0)
+    _, beta, perp_sq = _project(factors, rhs)
     v, res, sol = _tikhonov_from_coeffs(factors, beta, perp_sq, gamma)
     return TikhonovSolution(v=v, gamma=float(gamma), residual_norm=res, solution_norm=sol)
 
@@ -258,7 +265,7 @@ def lcurve_table(factors: SvdFactors, grid_size: int) -> tuple:
 
 
 def lcurve_select(
-    factors: SvdFactors, rhs: np.ndarray, grid_size: int = 200, table: tuple | None = None
+    factors: SvdFactors, rhs: np.ndarray, table: tuple | None = None
 ) -> TikhonovSolution:
     """Tikhonov solution at the maximum-curvature corner of the L-curve.
 
@@ -269,21 +276,19 @@ def lcurve_select(
     (FlatCurveWarning).
 
     `table` is `lcurve_table(factors, grid_size)`, which a caller solving
-    several right-hand sides on the same factors builds once; without it the
-    table is built here.  The scan then weights it by this rhs alone.
+    several right-hand sides on the same factors builds once; without it,
+    this builds `lcurve_table(factors, LCURVE_GRID)`.  The scan weights it
+    by this rhs alone.
     """
-    grid, terms = lcurve_table(factors, grid_size) if table is None else table
-    rhs = as_float(rhs)
+    grid, terms = lcurve_table(factors, LCURVE_GRID) if table is None else table
+    rhs, beta, perp_sq = _project(factors, rhs)
     s = factors.singular_values
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
+    if np.linalg.norm(rhs) == 0.0:
         # degenerate rhs: curvature is 0/0 everywhere
         zero = np.zeros(factors.right.shape[0], np.result_type(factors.right, rhs))
         return TikhonovSolution(
             v=zero, gamma=float(s[0]), residual_norm=0.0, solution_norm=0.0, flagged=True
         )
-    beta = factors.left.conj().T @ rhs
-    perp_sq = max(rhs_norm**2 - float(np.linalg.norm(beta) ** 2), 0.0)
     abs_beta_sq = np.abs(beta) ** 2
     s_sq = s * s
     weights = np.array((abs_beta_sq / s_sq, abs_beta_sq) * 3)

@@ -297,6 +297,12 @@ class TestMethodConfig:
         cfg = MethodConfig(Variant.ORIGINAL_PINV, n_x=4)
         assert cfg.l == 6
 
+    @pytest.mark.parametrize("n_x", [4.0, True, 0])
+    def test_n_x_must_be_a_positive_integer(self, n_x):
+        # checked before l = n_x + 2 is derived from it
+        with pytest.raises(ValueError, match="n_x must be an integer"):
+            MethodConfig(Variant.ORIGINAL_PINV, n_x=n_x)
+
     def test_l_must_exceed_model_order(self):
         with pytest.raises(ValueError):
             MethodConfig(Variant.ORIGINAL_PINV, n_x=4, l=4)
@@ -321,4 +327,4 @@ class TestMethodConfig:
 
     def test_bad_grid_size(self):
         with pytest.raises(ValueError):
-            MethodConfig(Variant.REGULARIZED_LCURVE, n_x=4, lcurve_grid_size=15)
+            MethodConfig(Variant.REGULARIZED_LCURVE, n_x=4, grid_size=15)

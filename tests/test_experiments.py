@@ -12,10 +12,10 @@ from spikerec import (
     run_sweep,
     synthesize,
 )
-from spikerec import eigenmatrix, experiments
+from spikerec import MethodConfig, Variant, eigenmatrix, experiments, generate_samples
 from spikerec.cli import main as cli_main
 from spikerec.errors import ConvergenceFailure, UnknownPreset
-from spikerec.kernels import Observations, SampleSet
+from spikerec.kernels import PRESET_IDS, Observations, SampleSet
 from spikerec.experiments import emit_report
 
 
@@ -48,6 +48,11 @@ class TestLoadPreset:
         with pytest.raises(UnknownPreset):
             load_preset("bogus")
 
+    @pytest.mark.parametrize("pid", PRESET_IDS)
+    def test_default_n_s_has_one_owner(self, pid):
+        # kernels.PRESET_N_S: the sampler's default is the preset's
+        assert generate_samples(pid, 0).n_s == load_preset(pid).n_s
+
 
 NAN = float("nan")
 
@@ -73,6 +78,11 @@ def test_library_rejects_bad_setting(build):
     # rejected when the setting is taken, before any run can start
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("name", ["pinv", "lcurve"])
+def test_make_method_defaults_are_method_configs(name):
+    assert make_method(name) == MethodConfig(Variant(name), 4)
 
 
 def _run_alone(preset, config, sigma, seed):
@@ -172,6 +182,12 @@ class TestRunSweep:
             run_sweep(p, [], seeds=[0])
         with pytest.raises(ValueError):
             run_sweep(p, [make_method("lcurve")], seeds=[])
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # a usage error, not a failed record for every cell
+        with pytest.raises(ValueError):
+            run_sweep(load_preset("fourier"), [make_method("pinv")], seeds=[0], sigmas=[sigma])
 
 
 def _samples_on_node(monkeypatch, bad_seeds):
@@ -448,6 +464,9 @@ class TestCli:
             ([], {"n_s": 3}),
             ([], {"n_a": 3}),
             (["--method", "lcurve", "--gamma", "nan", "--seeds", "1"], None),
+            (["--method", "lcurve", "--tol-factor", "10"], None),
+            (["--method", "pinv", "--grid-size", "5000"], None),
+            (["--method", "pinv", "--tol-factor", "nan"], None),
         ],
         ids=[
             "no-seeds", "negative-seed", "negative-sigma", "nan-sigma", "grid-size-5",
@@ -456,7 +475,8 @@ class TestCli:
             "empty-sigma-list", "string-tol-factor", "string-l", "float-grid-size",
             "bool-n_s", "negative-config-beta", "negative-beta", "nan-tol-factor",
             "nan-gamma", "inf-gamma", "n_s-below-n_x", "n_a-below-n_x",
-            "gamma-without-fixed-gamma",
+            "gamma-without-fixed-gamma", "tol-factor-without-pinv",
+            "grid-size-without-lcurve", "nan-tol-factor-pinv",
         ],
     )
     def test_bad_input_exit_one(self, tmp_path, capsys, extra, config):
@@ -469,6 +489,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--tol-factor", "nan"], "--tol-factor is used only by --method pinv"),
+            (["--method", "pinv", "--tol-factor", "nan"], "tol_factor must be finite"),
+            (["--method", "pinv", "--grid-size", "5"], "--grid-size is used only by --method"),
+            (["--grid-size", "5"], "grid_size must be an integer >= 16"),
+        ],
+        ids=["tol-factor-rule", "tol-factor-value", "grid-size-rule", "grid-size-value"],
+    )
+    def test_method_only_flag_rule_then_value(self, tmp_path, capsys, extra, message):
+        # a flag its methods do not read is rejected first; one they read is
+        # checked by make_method
+        assert cli_main(["--preset", "fourier", "--out", str(tmp_path)] + extra) == 1
+        assert message in capsys.readouterr().err
 
     def test_gamma_goes_to_fixed_gamma_only(self, tmp_path):
         # with --gamma, lcurve runs beside fixed-gamma (gamma-without-fixed-gamma

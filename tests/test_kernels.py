@@ -169,6 +169,11 @@ class TestAddNoise:
         # equality up to one rounding in the division by u
         np.testing.assert_allclose(d2, 2 * d1, rtol=1e-12)
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError):
+            add_noise(np.ones(4), sigma, 0)
+
 
 class TestCollocationSystem:
     def test_unit_column_norms(self):

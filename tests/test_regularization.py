@@ -14,6 +14,7 @@ from spikerec.errors import AllTruncated, FlatCurveWarning
 from spikerec.experiments import load_preset, make_method, run_sweep
 from spikerec.kernels import PRESET_IDS, add_noise, build_collocation_system, synthesize
 from spikerec.regularization import (
+    LCURVE_GRID,
     SvdFactors,
     _brent,
     _curvature,
@@ -232,7 +233,18 @@ class TestLcurve:
         rng = np.random.default_rng(14)
         f = compute_svd(random_complex(rng, (8, 4)))
         with pytest.raises(ValueError):
-            lcurve_select(f, np.ones(8), grid_size=8)
+            lcurve_table(f, 8)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_default_table_is_lcurve_grid(self, curvature_cases, case):
+        # the grid size has one owner, LCURVE_GRID
+        factors, rhs = curvature_cases[case]
+        own = lcurve_select(factors, rhs)
+        shared = lcurve_select(factors, rhs, lcurve_table(factors, LCURVE_GRID))
+        assert own.gamma.hex() == shared.gamma.hex()
+        assert own.v.tobytes() == shared.v.tobytes()
+        assert own.residual_norm == shared.residual_norm
+        assert own.solution_norm == shared.solution_norm
 
 
 def neg_curvature_loop(gamma, s, abs_beta_sq, abs_xi_sq, perp_sq):
