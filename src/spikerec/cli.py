@@ -14,11 +14,11 @@ import argparse
 import json
 import sys
 
-from .experiments import emit_report, load_preset, make_method, run_sweep
+from .experiments import REPORT_FORMATS, emit_report, load_preset, make_method, run_sweep
 from .kernels import PRESET_IDS
 
-CONFIG_KEYS = frozenset(("n_s", "n_a", "beta", "sigma_list", "l", "tol_factor", "grid_size"))
-METHOD_FLAGS = (("gamma", "fixed-gamma"), ("tol_factor", "pinv"), ("grid_size", "lcurve"))
+CONFIG_KEYS = frozenset(("n_s", "n_a", "beta", "sigma_list", "l", "tol_factor"))
+METHOD_FLAGS = (("gamma", "fixed-gamma"), ("tol_factor", "pinv"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,9 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-factor", type=float, help="pinv cutoff / Frobenius norm (default 1e-4)")
     p.add_argument("--gamma", type=float, help="Tikhonov gamma of fixed-gamma")
     p.add_argument("--beta", type=float, help="Matsubara beta (spectral)")
-    p.add_argument("--grid-size", type=int, help="L-curve gamma grid points (default 200)")
     p.add_argument("--out", default="results")
-    p.add_argument("--format", choices=("csv", "json", "plotdata"), default="csv")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     p.add_argument("--config", default=None, help="JSON file of settings; flags win over it")
     p.add_argument(
         "--no-timing",
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
             return _usage_error(f"unknown config keys in {args.config}: {', '.join(unknown)}")
         if None in overrides.values():
             return _usage_error(f"config {args.config} has a null value")
-    flags = {k: getattr(args, k) for k in ("beta", "l", "tol_factor", "grid_size")}
+    flags = {k: getattr(args, k) for k in ("beta", "l", "tol_factor")}
     flags["sigma_list"] = args.sigma
     # a flag given on the command line wins; load_preset and make_method
     # check every value
@@ -95,6 +94,8 @@ def main(argv=None) -> int:
     for key, method in METHOD_FLAGS:
         if getattr(args, key) is not None and method not in names:
             return _usage_error(f"--{key.replace('_', '-')} is used only by --method {method}")
+    if args.beta is not None and args.preset != "spectral":
+        return _usage_error("--beta is used only by --preset spectral")
     try:
         preset = load_preset(args.preset, **preset_args)
         methods = [

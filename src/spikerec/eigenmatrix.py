@@ -29,12 +29,9 @@ from .kernels import (
     eval_kernel,
 )
 from .regularization import (
-    LCURVE_GRID,
-    LCURVE_MIN_GRID,
     SvdFactors,
     compute_svd,
     lcurve_select,
-    lcurve_table,
     tikhonov_solve,
     truncate,
     truncated_pinv_apply,
@@ -58,7 +55,6 @@ class MethodConfig:
     l: int | None = None  # Krylov parameter; defaults to n_x + 2
     tol_factor: float = 1e-4  # ORIGINAL_PINV: threshold as multiple of ||G-hat||_F
     gamma: float | None = None  # REGULARIZED_FIXED_GAMMA only, None elsewhere
-    grid_size: int = LCURVE_GRID  # REGULARIZED_LCURVE: gamma grid points
 
     def __post_init__(self):
         if not (is_integer(self.n_x) and self.n_x >= 1):
@@ -71,10 +67,6 @@ class MethodConfig:
             raise ValueError(f"l must be an integer > n_x = {self.n_x}, not {self.l!r}")
         if not (is_real(self.tol_factor) and 0 < self.tol_factor < np.inf):
             raise ValueError(f"tol_factor must be finite and > 0, not {self.tol_factor!r}")
-        if not (is_integer(self.grid_size) and self.grid_size >= LCURVE_MIN_GRID):
-            raise ValueError(
-                f"grid_size must be an integer >= {LCURVE_MIN_GRID}, not {self.grid_size!r}"
-            )
         if self.variant is not Variant.REGULARIZED_FIXED_GAMMA:
             if self.gamma is not None:
                 raise ValueError(f"gamma is a fixed-gamma setting; {self.variant.value} takes none")
@@ -98,10 +90,9 @@ class PreparedSystem:
     """What depends only on the sample set: the collocation system and the
     SVD of its normalized matrix, shared by every sigma and method.
 
-    `recover` also keeps here what a method builds from these factors before
-    it looks at the observation: pinv's tolerance and eigenmatrix M per
-    `tol_factor`, and the L-curve table per grid size, each built on first
-    use.
+    The factors own the L-curve table (`SvdFactors.lcurve_table`).  `recover`
+    keeps here pinv's tolerance and eigenmatrix M per `tol_factor`, built on
+    first use, since they depend on the setting as well as the factors.
     """
 
     kernel: KernelDescriptor
@@ -247,33 +238,29 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
     G-hat v = u by Tikhonov (L-curve or fixed gamma) and assemble the
     Krylov matrix M-free.  Both filter the same shared SVD factors.
 
-    The tolerance and M, and the L-curve table, do not depend on the
-    observation: the first call that needs one for a prepared system builds
-    it in its own stage and timing, and later calls reuse it.  A build that
-    fails is not kept, so the next call raises the same error.
+    Pinv's tolerance and M, and the L-curve table of the factors, do not
+    depend on the observation: the first call that needs one for a prepared
+    system builds it in its own stage and timing, and later calls reuse it.
+    A build that fails is not kept, so the next call raises the same error.
     """
     system, factors, pieces = prepared.system, prepared.factors, prepared._pieces
     u = obs.noisy
     stage = "eigenmatrix"
     try:
         if config.variant is Variant.ORIGINAL_PINV:
-            key = ("pinv", config.tol_factor)
-            if key not in pieces:
+            if config.tol_factor not in pieces:
                 tol = config.tol_factor * float(np.linalg.norm(system.normalized, "fro"))
                 M = build_eigenmatrix(system, tol, factors)
                 M.setflags(write=False)  # shared by every later pinv record
-                pieces[key] = tol, M
-            tol, M = pieces[key]
+                pieces[config.tol_factor] = tol, M
+            tol, M = pieces[config.tol_factor]
             stage = "krylov"
             A = krylov_original(M, u, config.l)
             gamma_or_tol = tol
         else:
             stage = "tikhonov"
             if config.variant is Variant.REGULARIZED_LCURVE:
-                key = ("lcurve", config.grid_size)
-                if key not in pieces:
-                    pieces[key] = lcurve_table(factors, config.grid_size)
-                sol = lcurve_select(factors, u, table=pieces[key])
+                sol = lcurve_select(factors, u)
             else:
                 sol = tikhonov_solve(factors, u, config.gamma)
             stage = "krylov"

@@ -90,6 +90,7 @@ class RunRecord:
 
 _NAMES = tuple(f.name for f in fields(RunRecord))
 CSV_COLUMNS = _NAMES[: _NAMES.index("wall_time_ms") + 1]
+REPORT_FORMATS = ("csv", "json", "plotdata")
 
 
 def load_preset(
@@ -99,7 +100,8 @@ def load_preset(
     n_a: int = 32,
     sigma_list: tuple | None = None,
 ) -> ExperimentPreset:
-    """The five benchmark configurations, optionally overriding grid sizes.
+    """The five benchmark configurations, optionally overriding sample and
+    node counts, beta and the noise levels.
 
     An unusable override raises ValueError: `n_s` and `n_a` are integers of
     at least the spike count (even `n_s` on spectral), `beta` is finite and
@@ -233,6 +235,8 @@ def emit_report(records, format: str, outdir, include_timing: bool = True) -> li
     """Write records as csv, json, or plotdata files; returns written paths."""
     if not records:
         raise ValueError("no records to report")
+    if format not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {format!r}")
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -246,11 +250,9 @@ def emit_report(records, format: str, outdir, include_timing: bool = True) -> li
             lines += [",".join(_csv_cell(obj[c]) for c in CSV_COLUMNS) for obj in objs]
             path.write_text("\n".join(lines) + "\n")
             return [path]
-        if format == "json":
-            path = outdir / "records.json"
-            path.write_text(json.dumps(objs, indent=1, allow_nan=True) + "\n")
-            return [path]
-        raise ValueError(f"unknown report format {format!r}")
+        path = outdir / "records.json"
+        path.write_text(json.dumps(objs, indent=1, allow_nan=True) + "\n")
+        return [path]
     except OSError as exc:
         raise OSError(f"failed writing report under {outdir}: {exc}") from exc
 
@@ -271,7 +273,9 @@ def _emit_plotdata(records, outdir: Path) -> list:
     for r in records:
         groups.setdefault((r.preset, r.sigma, r.method), []).append(r)
     for (pid, sigma, method), recs in sorted(groups.items()):
-        path = outdir / f"{pid}_sigma{sigma:g}_{method}.dat"
+        # %g names the default sigmas; one it would round keeps all its digits
+        label = f"{sigma:g}" if float(f"{sigma:g}") == sigma else repr(sigma)
+        path = outdir / f"{pid}_sigma{label}_{method}.dat"
         lines = ["# seed loc_re loc_im weight_re weight_im"]
         for r in recs:
             for loc, w in zip(r.locations, r.weights):

@@ -10,7 +10,8 @@ arithmetic, complex data in complex arithmetic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +20,7 @@ from .kernels import as_float
 
 LCURVE_FLOOR = 1e-12  # lower grid bound as a multiple of sigma_1
 SVD_DROP = 1e-15  # singular values below SVD_DROP * sigma_1 are discarded
-LCURVE_MIN_GRID = 16  # fewest gamma grid points the corner scan accepts
-LCURVE_GRID = 200  # gamma grid points of the corner scan by default
+LCURVE_GRID = 200  # gamma grid points of the corner scan
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,23 @@ class SvdFactors:
     @property
     def rank(self) -> int:
         return self.singular_values.size
+
+    @cached_property
+    def lcurve_table(self) -> tuple:
+        """(gamma grid, (6, LCURVE_GRID, r) filter stack) of the L-curve scan.
+
+        Both depend on the singular values alone, so every rhs filtered by
+        these factors shares one read-only table, built on first use.  Rank
+        below 2 raises ValueError on every access; nothing is cached then.
+        """
+        if self.rank < 2:
+            raise ValueError("L-curve selection needs at least two singular values")
+        grid = lcurve_gamma_grid(self, LCURVE_GRID)
+        s = self.singular_values
+        table = grid, _filter_terms(grid, s * s)
+        for a in table:
+            a.setflags(write=False)  # a shared table must stay as built
+        return table
 
 
 @dataclass(frozen=True)
@@ -240,33 +257,13 @@ def _brent(func, xa, xb, xc, fa, fb, fc):
     return x
 
 
-def lcurve_gamma_grid(factors: SvdFactors, grid_size: int) -> np.ndarray:
+def lcurve_gamma_grid(factors: SvdFactors, n: int) -> np.ndarray:
     s = factors.singular_values
     lo = max(s[-1], LCURVE_FLOOR * s[0])
-    return np.geomspace(lo, s[0], grid_size)
+    return np.geomspace(lo, s[0], n)
 
 
-def lcurve_table(factors: SvdFactors, grid_size: int) -> tuple:
-    """(gamma grid, (6, grid_size, r) filter stack) of the L-curve scan.
-
-    Both depend on the singular values alone, so every rhs filtered by the
-    same factors can share one table (see `lcurve_select`).
-    """
-    if factors.rank < 2:
-        raise ValueError("L-curve selection needs at least two singular values")
-    if grid_size < LCURVE_MIN_GRID:
-        raise ValueError(f"grid_size must be >= {LCURVE_MIN_GRID}")
-    grid = lcurve_gamma_grid(factors, grid_size)
-    s = factors.singular_values
-    table = grid, _filter_terms(grid, s * s)
-    for a in table:
-        a.setflags(write=False)  # a shared table must stay as built
-    return table
-
-
-def lcurve_select(
-    factors: SvdFactors, rhs: np.ndarray, table: tuple | None = None
-) -> TikhonovSolution:
+def lcurve_select(factors: SvdFactors, rhs: np.ndarray) -> TikhonovSolution:
     """Tikhonov solution at the maximum-curvature corner of the L-curve.
 
     Scans a log-spaced gamma grid over [max(sigma_r, 1e-12*sigma_1),
@@ -275,12 +272,10 @@ def lcurve_select(
     maximum the endpoint solution is returned with the flagged bit set
     (FlatCurveWarning).
 
-    `table` is `lcurve_table(factors, grid_size)`, which a caller solving
-    several right-hand sides on the same factors builds once; without it,
-    this builds `lcurve_table(factors, LCURVE_GRID)`.  The scan weights it
-    by this rhs alone.
+    The scan weights `factors.lcurve_table`, shared by every rhs on the same
+    factors, by this rhs alone.
     """
-    grid, terms = lcurve_table(factors, LCURVE_GRID) if table is None else table
+    grid, terms = factors.lcurve_table
     rhs, beta, perp_sq = _project(factors, rhs)
     s = factors.singular_values
     if np.linalg.norm(rhs) == 0.0:

@@ -324,7 +324,3 @@ class TestMethodConfig:
     def test_bad_tol_factor(self):
         with pytest.raises(ValueError):
             MethodConfig(Variant.ORIGINAL_PINV, n_x=4, tol_factor=-1.0)
-
-    def test_bad_grid_size(self):
-        with pytest.raises(ValueError):
-            MethodConfig(Variant.REGULARIZED_LCURVE, n_x=4, grid_size=15)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from spikerec import (
     synthesize,
 )
 from spikerec import MethodConfig, Variant, eigenmatrix, experiments, generate_samples
-from spikerec.cli import main as cli_main
+from spikerec.cli import build_parser, main as cli_main
 from spikerec.errors import ConvergenceFailure, UnknownPreset
 from spikerec.kernels import PRESET_IDS, Observations, SampleSet
 from spikerec.experiments import emit_report
@@ -62,7 +64,6 @@ NAN = float("nan")
     [
         lambda: make_method("pinv", tol_factor=NAN),
         lambda: make_method("lcurve", l=5.5),
-        lambda: make_method("lcurve", grid_size=20.5),
         lambda: load_preset("fourier", n_s=2),
         lambda: load_preset("fourier", n_a=3),
         lambda: load_preset("fourier", sigma_list=(NAN,)),
@@ -70,7 +71,7 @@ NAN = float("nan")
         lambda: load_preset("spectral", n_s=255),
     ],
     ids=[
-        "nan-tol-factor", "float-l", "float-grid-size", "n_s-below-n_x", "n_a-below-n_x",
+        "nan-tol-factor", "float-l", "n_s-below-n_x", "n_a-below-n_x",
         "nan-sigma", "negative-beta", "odd-spectral-n_s",
     ],
 )
@@ -387,8 +388,32 @@ class TestEmitReport:
             emit_report([], "csv", tmp_path)
 
     def test_unknown_format(self, records, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(records, "xml", tmp_path)
+        # rejected before anything is written, the directory included
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            emit_report(records, "xml", tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+    def test_plotdata_names_keep_sigmas_apart(self, tmp_path, capsys):
+        # %g prints both sigmas as 0.1; each group still gets its own file
+        argv = [
+            "--preset", "fourier", "--method", "pinv", "--seeds", "1",
+            "--sigma", "0.1", "--sigma", "0.1000001", "--format", "plotdata",
+            "--out", str(tmp_path),
+        ]
+        assert cli_main(argv) == 0
+        printed = capsys.readouterr().out.split()
+        assert len(printed) == len(set(printed)) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fourier_sigma0.1000001_pinv.dat", "fourier_sigma0.1_pinv.dat", "fourier_truth.dat",
+        ]
+
+    @pytest.mark.parametrize("pid", PRESET_IDS)
+    def test_plotdata_names_of_default_sigmas(self, pid, tmp_path):
+        # the default noise levels keep their %g names
+        sigmas = load_preset(pid).sigma_list
+        recs = [experiments.RunRecord(pid, "pinv", sigma, 0) for sigma in sigmas]
+        names = {p.name for p in emit_report(recs, "plotdata", tmp_path)}
+        assert names == {f"{pid}_truth.dat"} | {f"{pid}_sigma{s:g}_pinv.dat" for s in sigmas}
 
 
 class TestCli:
@@ -443,7 +468,6 @@ class TestCli:
             (["--seed-list", "3", "-1"], None),
             (["--sigma", "-1"], None),
             (["--sigma", "nan"], None),
-            (["--grid-size", "5"], None),
             ([], {"bogus": 3}),
             ([], {"sigma_list": [0.1, -0.1]}),
             ([], [1, 2]),
@@ -465,18 +489,17 @@ class TestCli:
             ([], {"n_a": 3}),
             (["--method", "lcurve", "--gamma", "nan", "--seeds", "1"], None),
             (["--method", "lcurve", "--tol-factor", "10"], None),
-            (["--method", "pinv", "--grid-size", "5000"], None),
             (["--method", "pinv", "--tol-factor", "nan"], None),
         ],
         ids=[
-            "no-seeds", "negative-seed", "negative-sigma", "nan-sigma", "grid-size-5",
+            "no-seeds", "negative-seed", "negative-sigma", "nan-sigma",
             "unknown-config-key", "negative-config-sigma", "config-not-object",
             "odd-spectral-n_s", "string-n_s", "zero-n_a", "string-sigma-list",
             "empty-sigma-list", "string-tol-factor", "string-l", "float-grid-size",
             "bool-n_s", "negative-config-beta", "negative-beta", "nan-tol-factor",
             "nan-gamma", "inf-gamma", "n_s-below-n_x", "n_a-below-n_x",
             "gamma-without-fixed-gamma", "tol-factor-without-pinv",
-            "grid-size-without-lcurve", "nan-tol-factor-pinv",
+            "nan-tol-factor-pinv",
         ],
     )
     def test_bad_input_exit_one(self, tmp_path, capsys, extra, config):
@@ -495,16 +518,57 @@ class TestCli:
         [
             (["--tol-factor", "nan"], "--tol-factor is used only by --method pinv"),
             (["--method", "pinv", "--tol-factor", "nan"], "tol_factor must be finite"),
-            (["--method", "pinv", "--grid-size", "5"], "--grid-size is used only by --method"),
-            (["--grid-size", "5"], "grid_size must be an integer >= 16"),
         ],
-        ids=["tol-factor-rule", "tol-factor-value", "grid-size-rule", "grid-size-value"],
+        ids=["tol-factor-rule", "tol-factor-value"],
     )
     def test_method_only_flag_rule_then_value(self, tmp_path, capsys, extra, message):
         # a flag its methods do not read is rejected first; one they read is
         # checked by make_method
         assert cli_main(["--preset", "fourier", "--out", str(tmp_path)] + extra) == 1
         assert message in capsys.readouterr().err
+
+    def test_beta_flag_only_on_spectral(self, tmp_path, capsys):
+        # only spectral's samples read beta, so elsewhere the flag would be
+        # silently ignored; the config's beta is checked on every preset
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta": 5}))
+        runs = {
+            "fourier-flag": (["--preset", "fourier", "--beta", "5"], 1),
+            "fourier-config": (["--preset", "fourier", "--config", str(cfg)], 0),
+            "spectral-negative": (["--preset", "spectral", "--beta", "-1"], 1),
+            "spectral": (["--preset", "spectral"], 0),
+            "spectral-flag": (["--preset", "spectral", "--beta", "5"], 0),
+        }
+        argv = ["--method", "pinv", "--seeds", "1", "--sigma", "0.01", "--no-timing"]
+        for name, (extra, code) in runs.items():
+            assert cli_main(argv + extra + ["--out", str(tmp_path / name)]) == code
+        err = capsys.readouterr().err
+        assert "error: --beta is used only by --preset spectral\n" in err
+        assert "error: beta must be finite and > 0" in err
+        assert not (tmp_path / "fourier-flag").exists()
+        reports = [(tmp_path / n / "records.csv").read_text() for n in ("spectral", "spectral-flag")]
+        assert reports[0] != reports[1]
+
+    def test_grid_size_setting_is_gone(self, tmp_path, capsys):
+        # the L-curve grid is the constant LCURVE_GRID: no flag or config key
+        argv = ["--preset", "fourier", "--seeds", "1", "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc_info:
+            cli_main(argv + ["--grid-size", "200"])
+        assert exc_info.value.code == 1
+        assert "unrecognized arguments: --grid-size 200" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_size": 200}))
+        assert cli_main(argv + ["--config", str(cfg)]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_names_every_option(self):
+        # the README's "Command line" section documents exactly the parser's options
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        options = {o for a in build_parser()._actions for o in a.option_strings}
+        assert named == options - {"-h", "--help"}
 
     def test_gamma_goes_to_fixed_gamma_only(self, tmp_path):
         # with --gamma, lcurve runs beside fixed-gamma (gamma-without-fixed-gamma
@@ -533,10 +597,8 @@ class TestCli:
         [
             # the flag's cutoff truncates every direction: all runs fail
             (["--method", "pinv", "--tol-factor", "10"], {"tol_factor": 1e-4}, 2),
-            # the config's grid alone is below the L-curve minimum
-            (["--method", "lcurve", "--grid-size", "200"], {"grid_size": 8}, 0),
         ],
-        ids=["tol-factor", "grid-size"],
+        ids=["tol-factor"],
     )
     def test_flag_wins_over_config(self, tmp_path, flags, config, code):
         cfg = tmp_path / "cfg.json"

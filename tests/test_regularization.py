@@ -10,6 +10,7 @@ from scipy.optimize import brent
 
 import spikerec
 import spikerec.eigenmatrix
+import spikerec.regularization
 from spikerec.errors import AllTruncated, FlatCurveWarning
 from spikerec.experiments import load_preset, make_method, run_sweep
 from spikerec.kernels import PRESET_IDS, add_noise, build_collocation_system, synthesize
@@ -18,11 +19,11 @@ from spikerec.regularization import (
     SvdFactors,
     _brent,
     _curvature,
+    _filter_terms,
     _neg_curvature,
     compute_svd,
     lcurve_gamma_grid,
     lcurve_select,
-    lcurve_table,
     tikhonov_solve,
     truncated_pinv_apply,
 )
@@ -229,22 +230,51 @@ class TestLcurve:
         assert sol.gamma == pytest.approx(f.singular_values[0])
         np.testing.assert_array_equal(sol.v, 0)
 
-    def test_grid_size_validation(self):
-        rng = np.random.default_rng(14)
-        f = compute_svd(random_complex(rng, (8, 4)))
-        with pytest.raises(ValueError):
-            lcurve_table(f, 8)
+    def test_rank_one_raises_every_time(self):
+        # a table build that fails is not cached: each access raises anew
+        f = compute_svd(np.outer(np.arange(1.0, 6.0), np.ones(3)))
+        assert f.rank == 1
+        for _ in range(2):
+            with pytest.raises(ValueError, match="at least two singular values"):
+                f.lcurve_table
+        assert "lcurve_table" not in vars(f)
 
     @pytest.mark.parametrize("case", range(4))
     def test_default_table_is_lcurve_grid(self, curvature_cases, case):
-        # the grid size has one owner, LCURVE_GRID
+        # the grid size has one owner, LCURVE_GRID, and the table is read
+        # only, built once per factors and the same bits on every later call
         factors, rhs = curvature_cases[case]
-        own = lcurve_select(factors, rhs)
-        shared = lcurve_select(factors, rhs, lcurve_table(factors, LCURVE_GRID))
+        fresh = SvdFactors(factors.left, factors.singular_values, factors.right)
+        own = lcurve_select(fresh, rhs)
+        grid, terms = factors.lcurve_table
+        assert factors.lcurve_table is factors.lcurve_table
+        assert not (grid.flags.writeable or terms.flags.writeable)
+        assert grid.tobytes() == lcurve_gamma_grid(factors, LCURVE_GRID).tobytes()
+        s = factors.singular_values
+        assert terms.tobytes() == _filter_terms(grid, s * s).tobytes()
+        shared = lcurve_select(factors, rhs)
         assert own.gamma.hex() == shared.gamma.hex()
         assert own.v.tobytes() == shared.v.tobytes()
         assert own.residual_norm == shared.residual_norm
         assert own.solution_norm == shared.solution_norm
+
+
+def test_one_table_build_per_factors(monkeypatch):
+    # spectral's sample points do not depend on the seed, so its 120 lcurve
+    # records of seeds 0-39 share one prepared system and one table
+    grid_calls = []
+    real = spikerec.regularization._filter_terms
+
+    def spy(gamma, s_sq):
+        if isinstance(gamma, np.ndarray):
+            grid_calls.append(gamma.size)
+        return real(gamma, s_sq)
+
+    monkeypatch.setattr(spikerec.regularization, "_filter_terms", spy)
+    records = run_sweep(load_preset("spectral"), [make_method("lcurve")], seeds=range(40))
+    assert len(records) == 120
+    assert all(r.failed_stage is None for r in records)
+    assert grid_calls == [LCURVE_GRID]
 
 
 def neg_curvature_loop(gamma, s, abs_beta_sq, abs_xi_sq, perp_sq):
@@ -336,7 +366,7 @@ def test_shared_table_curvature_bitwise(preset_id):
     preset = load_preset(preset_id)
     samples = preset.samples(0)
     factors = spikerec.eigenmatrix.prepare(preset.kernel, samples, preset.nodes()).factors
-    grid, terms = lcurve_table(factors, 200)
+    grid, terms = factors.lcurve_table
     assert grid.tobytes() == lcurve_gamma_grid(factors, 200).tobytes()
     before = terms.copy()
     u = synthesize(preset.kernel, preset.truth, samples)
@@ -413,8 +443,8 @@ def lcurve_corners(preset_id):
     of its own (see one_thread_corners)."""
     corners = []
 
-    def spy(factors, rhs, **kwargs):
-        sol = lcurve_select(factors, rhs, **kwargs)
+    def spy(factors, rhs):
+        sol = lcurve_select(factors, rhs)
         _, args = curvature_args(factors, rhs)
         corners.append((sol.gamma, _neg_curvature(sol.gamma, *args)))
         return sol
