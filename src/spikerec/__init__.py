@@ -9,7 +9,6 @@ from .eigenmatrix import (
     esprit_extract,
     krylov_original,
     krylov_regularized,
-    prepare,
     recover,
     recover_weights,
 )

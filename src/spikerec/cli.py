@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .experiments import REPORT_FORMATS, emit_report, load_preset, make_method, run_sweep
 from .kernels import PRESET_IDS
@@ -87,10 +88,13 @@ def main(argv=None) -> int:
         return _usage_error("--seeds must be >= 1")
     if min(seeds) < 0:
         return _usage_error("seeds must be >= 0")
+    names = args.method or ["lcurve"]
+    for flag, values in (("--seed-list", seeds), ("--method", names)):
+        if len(set(values)) != len(values):
+            return _usage_error(f"{flag} repeats a value")
     preset_keys = ("n_s", "n_a", "beta", "sigma_list")
     preset_args = {k: v for k, v in settings.items() if k in preset_keys}
     method_args = {k: v for k, v in settings.items() if k not in preset_keys}
-    names = args.method or ["lcurve"]
     for key, method in METHOD_FLAGS:
         if getattr(args, key) is not None and method not in names:
             return _usage_error(f"--{key.replace('_', '-')} is used only by --method {method}")
@@ -107,6 +111,10 @@ def main(argv=None) -> int:
         ]
     except ValueError as exc:
         return _usage_error(str(exc))
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _usage_error(f"cannot create output directory {args.out}: {exc}")
     records = run_sweep(preset, methods, seeds)
     paths = emit_report(records, args.format, args.out, include_timing=not args.no_timing)
     for path in paths:

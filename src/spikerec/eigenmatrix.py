@@ -9,6 +9,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -87,19 +88,28 @@ def is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class PreparedSystem:
-    """What depends only on the sample set: the collocation system and the
-    SVD of its normalized matrix, shared by every sigma and method.
+    """What depends only on the sample set, shared by every sigma and method:
+    the collocation system, the SVD of its normalized matrix, the L-curve
+    table of those factors (`SvdFactors.lcurve_table`), and pinv's tolerance
+    and eigenmatrix M per `tol_factor`.
 
-    The factors own the L-curve table (`SvdFactors.lcurve_table`).  `recover`
-    keeps here pinv's tolerance and eigenmatrix M per `tol_factor`, built on
-    first use, since they depend on the setting as well as the factors.
+    Constructing one builds nothing.  The first `recover` that needs a piece
+    builds it, in that call's stage and timing; a build that raises is not
+    kept, so every later call raises the same error.
     """
 
     kernel: KernelDescriptor
     samples: SampleSet
-    system: CollocationSystem
-    factors: SvdFactors
+    nodes: CollocationNodes
     _pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def system(self) -> CollocationSystem:
+        return build_collocation_system(self.kernel, self.samples, self.nodes)
+
+    @cached_property
+    def factors(self) -> SvdFactors:
+        return compute_svd(self.system.normalized)
 
 
 @dataclass(frozen=True)
@@ -212,24 +222,6 @@ def _project_locations(kernel: KernelDescriptor, raw: np.ndarray) -> np.ndarray:
     return raw
 
 
-def prepare(
-    kernel: KernelDescriptor, samples: SampleSet, nodes: CollocationNodes
-) -> PreparedSystem:
-    """Build the collocation system and factor it once for a sample set.
-
-    A failure carries the stage it happened in ("collocation" or "svd").
-    """
-    stage = "collocation"
-    try:
-        system = build_collocation_system(kernel, samples, nodes)
-        stage = "svd"
-        factors = compute_svd(system.normalized)
-    except Exception as exc:
-        exc.stage = stage
-        raise
-    return PreparedSystem(kernel=kernel, samples=samples, system=system, factors=factors)
-
-
 def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -> RecoveryResult:
     """Full pipeline for one noisy observation vector on a prepared system.
 
@@ -238,15 +230,19 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
     G-hat v = u by Tikhonov (L-curve or fixed gamma) and assemble the
     Krylov matrix M-free.  Both filter the same shared SVD factors.
 
-    Pinv's tolerance and M, and the L-curve table of the factors, do not
-    depend on the observation: the first call that needs one for a prepared
-    system builds it in its own stage and timing, and later calls reuse it.
-    A build that fails is not kept, so the next call raises the same error.
+    What does not depend on the observation (the collocation system, its
+    SVD, the L-curve table, pinv's tolerance and M) is built by the first
+    call on `prepared` that needs it, in that call's stage and timing, and
+    reused after.  A build that fails is not kept, so the next call raises
+    the same error.  Every exception let through carries its `stage`.
     """
-    system, factors, pieces = prepared.system, prepared.factors, prepared._pieces
-    u = obs.noisy
-    stage = "eigenmatrix"
+    pieces, u = prepared._pieces, obs.noisy
+    stage = "collocation"
     try:
+        system = prepared.system
+        stage = "svd"
+        factors = prepared.factors
+        stage = "eigenmatrix"
         if config.variant is Variant.ORIGINAL_PINV:
             if config.tol_factor not in pieces:
                 tol = config.tol_factor * float(np.linalg.norm(system.normalized, "fro"))

@@ -11,9 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigenmatrix import (
-    MethodConfig, PreparedSystem, Variant, is_integer, is_real, prepare, recover
-)
+from .eigenmatrix import MethodConfig, PreparedSystem, Variant, is_integer, is_real, recover
 from .errors import SpikerecError, UnknownPreset
 from .kernels import (
     DEFAULT_BETA,
@@ -105,7 +103,8 @@ def load_preset(
 
     An unusable override raises ValueError: `n_s` and `n_a` are integers of
     at least the spike count (even `n_s` on spectral), `beta` is finite and
-    > 0, and `sigma_list` is a non-empty list or tuple of finite values >= 0.
+    > 0, and `sigma_list` is a non-empty list or tuple of distinct finite
+    values >= 0.
     """
     if id == "rational":
         kernel = KernelDescriptor(Kind.RATIONAL, UNIT_DISK)
@@ -139,6 +138,8 @@ def load_preset(
         is_real(x) and 0 <= x < np.inf for x in sigma_list
     ):
         raise ValueError(f"sigma_list must list finite numbers >= 0, not {sigma_list!r}")
+    if len(set(sigma_list)) != len(sigma_list):  # 0.0 == -0.0 counts as a repeat
+        raise ValueError(f"sigma_list repeats a value: {sigma_list!r}")
     return ExperimentPreset(
         id=id,
         kernel=kernel,
@@ -150,30 +151,27 @@ def load_preset(
     )
 
 
-def _failed_record(preset, config, obs, exc, wall_ms) -> RunRecord:
-    # `prepare` and `recover` tag every exception they let through
-    return RunRecord(
-        preset.id, config.variant.value, obs.sigma, obs.seed,
-        wall_time_ms=wall_ms,
-        failed_stage=exc.stage,
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
 def run_one(
     preset: ExperimentPreset, config: MethodConfig, prepared: PreparedSystem, obs: Observations
 ) -> RunRecord:
     """Run one (method, sigma, seed) cell on the seed's prepared system and
     noisy observation; failures land in the record.
 
-    The record's sigma and seed are `obs.sigma` and `obs.seed`, and its
-    wall time covers `recover` only: the sweep shares `prepared` among cells.
+    The record's sigma and seed are `obs.sigma` and `obs.seed`.  Its wall
+    time covers `recover`, which includes building any shared piece of
+    `prepared` this cell is the first to need.
     """
     t0 = time.perf_counter()
     try:
         result = recover(config, prepared, obs)
     except _RUN_FAILURES as exc:
-        return _failed_record(preset, config, obs, exc, (time.perf_counter() - t0) * 1e3)
+        # `recover` tags every exception it lets through with its stage
+        return RunRecord(
+            preset.id, config.variant.value, obs.sigma, obs.seed,
+            wall_time_ms=(time.perf_counter() - t0) * 1e3,
+            failed_stage=exc.stage,
+            error=f"{type(exc).__name__}: {exc}",
+        )
     wall = (time.perf_counter() - t0) * 1e3
     errors = match_and_error(preset.truth, result)
     return RunRecord(
@@ -192,36 +190,24 @@ def run_one(
 def run_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> list:
     """All (sigma, seed, method) cells; one noise draw shared per (sigma, seed).
 
-    Seeds run outermost.  The collocation system and its SVD depend only on
-    the sample set, so one `prepare` serves every cell of a seed, and of the
-    following seeds while their sample points stay the same.  If `prepare`
-    fails, every cell of that seed is a failed record.
+    Seeds run outermost.  One `PreparedSystem` serves every cell of a seed,
+    and of the following seeds while their sample points stay the same; its
+    first cell to need a shared piece builds it.
     """
-    if not methods or not len(seeds):
-        raise ValueError("need at least one method and one seed")
     sigmas = preset.sigma_list if sigmas is None else tuple(sigmas)
+    if not methods or not len(seeds) or not sigmas:
+        raise ValueError("need at least one method, one seed and one sigma")
     nodes = preset.nodes()
     records = []
     prepared = None
     for seed in seeds:
         samples = preset.samples(seed)
         u = synthesize(preset.kernel, preset.truth, samples)
-        failure = None
         if prepared is None or not np.array_equal(samples.points, prepared.samples.points):
-            t0 = time.perf_counter()
-            try:
-                prepared = prepare(preset.kernel, samples, nodes)
-            except _RUN_FAILURES as exc:
-                prepared, failure = None, exc
-                wall = (time.perf_counter() - t0) * 1e3
+            prepared = PreparedSystem(preset.kernel, samples, nodes)
         for sigma in sigmas:
             obs = add_noise(u, sigma, seed)
-            for config in methods:
-                if failure is None:
-                    rec = run_one(preset, config, prepared, obs)
-                else:
-                    rec = _failed_record(preset, config, obs, failure, wall)
-                records.append(rec)
+            records.extend(run_one(preset, config, prepared, obs) for config in methods)
     records.sort(key=RunRecord.sort_key)
     return records
 

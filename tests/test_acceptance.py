@@ -11,6 +11,7 @@ import pytest
 
 from spikerec import (
     MethodConfig,
+    PreparedSystem,
     SpikeSignal,
     Variant,
     add_noise,
@@ -23,7 +24,6 @@ from spikerec import (
     load_preset,
     make_method,
     match_and_error,
-    prepare,
     recover,
     run_sweep,
     synthesize,
@@ -177,7 +177,7 @@ def test_criterion_4_noise_free_recovery():
         preset = load_preset(pid)
         samples = preset.samples(0)
         obs = add_noise(synthesize(preset.kernel, preset.truth, samples), 0.0, 0)
-        prepared = prepare(preset.kernel, samples, preset.nodes())
+        prepared = PreparedSystem(preset.kernel, samples, preset.nodes())
         for cfg in configs:
             res = recover(cfg, prepared, obs)
             errs = match_and_error(preset.truth, res)

@@ -41,3 +41,20 @@ def test_fold_appends_one_entry_per_run(tmp_path):
     ]
     assert sorted(runs[0]["metrics"]) == sorted(METRICS)
     assert runs[1]["metrics"]["ms_per_record"] == {"median": 1.06, "q1": 1.05, "q3": 1.08, "n": 10}
+
+
+def test_traced_result_exits_one_and_writes_nothing(tmp_path, capsys):
+    # a --trace 1 run carries per-layer metrics only
+    bench_fold = _load()
+    good = _fake_result(tmp_path / "a.json", 0, 1.27)
+    traced = tmp_path / "b.json"
+    result = json.loads(good.read_text())
+    result["trace"] = 1
+    result["metrics"] = {"trace.overhead_frac": {"value": 0.5, "unit": "frac"}}
+    traced.write_text(json.dumps(result))
+    argv = ["--commit", "aaa", "--out-dir", str(tmp_path), str(good), str(traced)]
+    assert bench_fold.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(traced) in err and "ms_per_record" in err
+    assert not list(tmp_path.glob("BENCH_*.json"))

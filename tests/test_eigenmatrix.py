@@ -5,6 +5,7 @@ from spikerec import (
     KernelDescriptor,
     Kind,
     MethodConfig,
+    PreparedSystem,
     UNIT_DISK,
     Variant,
     add_noise,
@@ -13,14 +14,14 @@ from spikerec import (
     esprit_extract,
     krylov_original,
     krylov_regularized,
-    prepare,
     recover,
     recover_weights,
     synthesize,
     uniform_circle_nodes,
 )
+from spikerec import eigenmatrix, make_method
 from spikerec.eigenmatrix import compute_svd_or_degenerate
-from spikerec.errors import AllTruncated, DegenerateDesign, RankDeficient
+from spikerec.errors import AllTruncated, DegenerateDesign, DomainError, RankDeficient
 from spikerec.kernels import CollocationSystem, Observations, SampleSet, SpikeSignal
 from spikerec.experiments import load_preset
 
@@ -238,8 +239,8 @@ class TestRecoverPipeline:
     def test_deterministic_bitwise(self):
         preset, samples, obs = self._setup("rational", 1e-2, 5)
         cfg = MethodConfig(Variant.REGULARIZED_LCURVE, n_x=4)
-        r1 = recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs)
-        r2 = recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs)
+        r1 = recover(cfg, PreparedSystem(preset.kernel, samples, preset.nodes()), obs)
+        r2 = recover(cfg, PreparedSystem(preset.kernel, samples, preset.nodes()), obs)
         np.testing.assert_array_equal(r1.locations, r2.locations)
         np.testing.assert_array_equal(r1.weights, r2.weights)
         assert r1.gamma_or_tol == r2.gamma_or_tol
@@ -250,12 +251,12 @@ class TestRecoverPipeline:
         # the recovered locations and must scale the weights
         preset, samples, obs = self._setup("rational", 1e-2, 3)
         cfg = MethodConfig(variant, n_x=4)
-        r1 = recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs)
+        r1 = recover(cfg, PreparedSystem(preset.kernel, samples, preset.nodes()), obs)
         c = 7.5
         obs2 = Observations(
             exact=obs.exact * c, noisy=obs.noisy * c, sigma=obs.sigma, seed=obs.seed
         )
-        r2 = recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs2)
+        r2 = recover(cfg, PreparedSystem(preset.kernel, samples, preset.nodes()), obs2)
         np.testing.assert_allclose(
             np.sort_complex(r1.locations), np.sort_complex(r2.locations), rtol=1e-6
         )
@@ -266,7 +267,7 @@ class TestRecoverPipeline:
     def test_interval_projection_clips_real_part(self):
         preset, samples, obs = self._setup("laplace", 5e-3, 2)
         cfg = MethodConfig(Variant.REGULARIZED_LCURVE, n_x=4)
-        res = recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs)
+        res = recover(cfg, PreparedSystem(preset.kernel, samples, preset.nodes()), obs)
         lo, hi = preset.kernel.domain.lo, preset.kernel.domain.hi
         assert np.all(res.locations.imag == 0)
         assert np.all((res.locations.real >= lo) & (res.locations.real <= hi))
@@ -281,15 +282,68 @@ class TestRecoverPipeline:
         gamma = 1e-3 if variant is Variant.REGULARIZED_FIXED_GAMMA else None
         cfg = MethodConfig(variant, n_x=4, gamma=gamma)
         with pytest.raises(RankDeficient) as exc_info:
-            recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs)
+            recover(cfg, PreparedSystem(preset.kernel, samples, preset.nodes()), obs)
         assert exc_info.value.stage == "esprit"
 
     def test_failure_carries_stage(self):
         preset, samples, obs = self._setup("rational", 1e-2, 0)
         cfg = MethodConfig(Variant.ORIGINAL_PINV, n_x=4, tol_factor=10.0)
         with pytest.raises(AllTruncated) as exc_info:
-            recover(cfg, prepare(preset.kernel, samples, preset.nodes()), obs)
+            recover(cfg, PreparedSystem(preset.kernel, samples, preset.nodes()), obs)
         assert exc_info.value.stage == "eigenmatrix"
+
+
+class TestPreparedSystem:
+    """The shared pieces are built by the first `recover` that needs them."""
+
+    def _count_builds(self, monkeypatch, n_a):
+        # collocation systems built, and SVDs of an n_s x n_a collocation
+        # matrix; the weight design's SVD has n_x columns and is not counted
+        calls = {"build_collocation_system": 0, "compute_svd": 0}
+        build, svd = eigenmatrix.build_collocation_system, eigenmatrix.compute_svd
+
+        def counted_build(*args):
+            calls["build_collocation_system"] += 1
+            return build(*args)
+
+        def counted_svd(matrix):
+            calls["compute_svd"] += matrix.shape[1] == n_a
+            return svd(matrix)
+
+        monkeypatch.setattr(eigenmatrix, "build_collocation_system", counted_build)
+        monkeypatch.setattr(eigenmatrix, "compute_svd", counted_svd)
+        return calls
+
+    def test_built_once_on_first_use(self, monkeypatch):
+        preset = load_preset("fourier")
+        samples = preset.samples(0)
+        calls = self._count_builds(monkeypatch, preset.n_a)
+        prepared = PreparedSystem(preset.kernel, samples, preset.nodes())
+        assert calls == {"build_collocation_system": 0, "compute_svd": 0}
+        u = synthesize(preset.kernel, preset.truth, samples)
+        recover(make_method("lcurve"), prepared, add_noise(u, 1e-2, 0))
+        assert calls == {"build_collocation_system": 1, "compute_svd": 1}
+        recover(make_method("pinv"), prepared, add_noise(u, 1e-1, 0))
+        assert calls == {"build_collocation_system": 1, "compute_svd": 1}
+
+    def test_failed_build_is_not_cached(self):
+        # a sample on the collocation node 1 of the unit circle
+        preset = load_preset("rational")
+        points = preset.samples(0).points.copy()
+        points[0] = 1.0
+        samples = SampleSet(points)
+        prepared = PreparedSystem(preset.kernel, samples, preset.nodes())
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                prepared.system
+        u = synthesize(preset.kernel, preset.truth, samples)
+        errors = []
+        for method in ("lcurve", "pinv"):
+            with pytest.raises(DomainError) as exc_info:
+                recover(make_method(method), prepared, add_noise(u, 1e-2, 0))
+            assert exc_info.value.stage == "collocation"
+            errors.append(str(exc_info.value))
+        assert errors[0] == errors[1]
 
 
 class TestMethodConfig:

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from spikerec import (
+    PreparedSystem,
     add_noise,
     load_preset,
     make_method,
-    prepare,
     run_one,
     run_sweep,
     synthesize,
 )
-from spikerec import MethodConfig, Variant, eigenmatrix, experiments, generate_samples
+from spikerec import MethodConfig, Variant, cli, eigenmatrix, experiments, generate_samples
 from spikerec.cli import build_parser, main as cli_main
 from spikerec.errors import ConvergenceFailure, UnknownPreset
 from spikerec.kernels import PRESET_IDS, Observations, SampleSet
@@ -69,10 +69,13 @@ NAN = float("nan")
         lambda: load_preset("fourier", sigma_list=(NAN,)),
         lambda: load_preset("fourier", beta=-1.0),
         lambda: load_preset("spectral", n_s=255),
+        lambda: load_preset("fourier", sigma_list=(0.1, 0.01, 0.1)),
+        lambda: load_preset("fourier", sigma_list=[0.0, -0.0]),
     ],
     ids=[
         "nan-tol-factor", "float-l", "n_s-below-n_x", "n_a-below-n_x",
-        "nan-sigma", "negative-beta", "odd-spectral-n_s",
+        "nan-sigma", "negative-beta", "odd-spectral-n_s", "repeated-sigma",
+        "signed-zero-sigmas",
     ],
 )
 def test_library_rejects_bad_setting(build):
@@ -89,7 +92,7 @@ def test_make_method_defaults_are_method_configs(name):
 def _run_alone(preset, config, sigma, seed):
     """One cell on a freshly prepared system and observation."""
     samples = preset.samples(seed)
-    prepared = prepare(preset.kernel, samples, preset.nodes())
+    prepared = PreparedSystem(preset.kernel, samples, preset.nodes())
     obs = add_noise(synthesize(preset.kernel, preset.truth, samples), sigma, seed)
     return run_one(preset, config, prepared, obs)
 
@@ -137,7 +140,7 @@ class TestRunSweep:
         for sigma in sigmas:
             obs = add_noise(synthesize(p.kernel, p.truth, samples), sigma, 7)
             for m in methods:
-                direct = run_one(p, m, prepare(p.kernel, samples, p.nodes()), obs)
+                direct = run_one(p, m, PreparedSystem(p.kernel, samples, p.nodes()), obs)
                 match = [r for r in recs if (r.method, r.sigma) == (direct.method, sigma)]
                 assert len(match) == 1
                 assert match[0].failed_stage is None
@@ -183,6 +186,10 @@ class TestRunSweep:
             run_sweep(p, [], seeds=[0])
         with pytest.raises(ValueError):
             run_sweep(p, [make_method("lcurve")], seeds=[])
+
+    def test_empty_sigmas_rejected(self):
+        with pytest.raises(ValueError):
+            run_sweep(load_preset("fourier"), [make_method("lcurve")], seeds=[0], sigmas=[])
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, sigma):
@@ -343,7 +350,7 @@ class TestEmitReport:
         # record that json can write
         p = load_preset("fourier")
         samples = p.samples(0)
-        prepared = prepare(p.kernel, samples, p.nodes())
+        prepared = PreparedSystem(p.kernel, samples, p.nodes())
         obs = add_noise(synthesize(p.kernel, p.truth, samples), 0.01, 0)
         obs = Observations(obs.exact, obs.noisy, np.float64(0.01), np.int64(0))
         rec = run_one(p, make_method("pinv"), prepared, obs)
@@ -490,6 +497,10 @@ class TestCli:
             (["--method", "lcurve", "--gamma", "nan", "--seeds", "1"], None),
             (["--method", "lcurve", "--tol-factor", "10"], None),
             (["--method", "pinv", "--tol-factor", "nan"], None),
+            (["--sigma", "0.1", "--sigma", "0.1"], None),
+            ([], {"sigma_list": [0.0, -0.0]}),
+            (["--method", "pinv", "--method", "pinv"], None),
+            (["--seed-list", "3", "3"], None),
         ],
         ids=[
             "no-seeds", "negative-seed", "negative-sigma", "nan-sigma",
@@ -499,7 +510,8 @@ class TestCli:
             "bool-n_s", "negative-config-beta", "negative-beta", "nan-tol-factor",
             "nan-gamma", "inf-gamma", "n_s-below-n_x", "n_a-below-n_x",
             "gamma-without-fixed-gamma", "tol-factor-without-pinv",
-            "nan-tol-factor-pinv",
+            "nan-tol-factor-pinv", "repeated-sigma", "repeated-config-sigma",
+            "repeated-method", "repeated-seed",
         ],
     )
     def test_bad_input_exit_one(self, tmp_path, capsys, extra, config):
@@ -526,6 +538,20 @@ class TestCli:
         # checked by make_method
         assert cli_main(["--preset", "fourier", "--out", str(tmp_path)] + extra) == 1
         assert message in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_one_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        argv = ["--preset", "rational", "--seeds", "1", "--out", str(afile)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(afile) in err
+        assert afile.read_text() == "kept\n"
 
     def test_beta_flag_only_on_spectral(self, tmp_path, capsys):
         # only spectral's samples read beta, so elsewhere the flag would be

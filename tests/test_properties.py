@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spikerec import add_noise, load_preset, make_method, prepare, recover, synthesize
+from spikerec import (
+    PreparedSystem, add_noise, load_preset, make_method, recover, run_sweep, synthesize
+)
 from spikerec.kernels import (
     PRESET_IDS, CollocationNodes, Observations, SampleSet, SpikeSignal
 )
@@ -31,7 +33,7 @@ def test_scaling_observations_scales_only_the_weights(preset_id, method, sigma_i
     # scaling u by c = 2**k scales the weights by c and changes nothing else.
     preset = load_preset(preset_id)
     samples = preset.samples(seed)
-    prepared = prepare(preset.kernel, samples, preset.nodes())
+    prepared = PreparedSystem(preset.kernel, samples, preset.nodes())
     u = synthesize(preset.kernel, preset.truth, samples)
     obs = add_noise(u, preset.sigma_list[sigma_index], seed)
     c = 2.0**k
@@ -56,7 +58,7 @@ def test_tikhonov_norms_monotone_in_gamma(preset_id, sigma_index, seed, log_gamm
     # residual norm cannot fall and the solution norm cannot rise.
     preset = load_preset(preset_id)
     samples = preset.samples(seed)
-    factors = prepare(preset.kernel, samples, preset.nodes()).factors
+    factors = PreparedSystem(preset.kernel, samples, preset.nodes()).factors
     u = synthesize(preset.kernel, preset.truth, samples)
     rhs = add_noise(u, preset.sigma_list[sigma_index], seed).noisy
     s1 = factors.singular_values[0]
@@ -99,20 +101,20 @@ def test_permuting_samples_keeps_the_recovery(preset_id, method, sigma_index, se
     moved = SampleSet(samples.points[perm])
     moved_obs = Observations(obs.exact[perm], obs.noisy[perm], obs.sigma, obs.seed)
     config = make_method(method)
-    base = recover(config, prepare(preset.kernel, samples, preset.nodes()), obs)
-    result = recover(config, prepare(preset.kernel, moved, preset.nodes()), moved_obs)
+    base = recover(config, PreparedSystem(preset.kernel, samples, preset.nodes()), obs)
+    result = recover(config, PreparedSystem(preset.kernel, moved, preset.nodes()), moved_obs)
     np.testing.assert_allclose(result.gamma_or_tol, base.gamma_or_tol, rtol=PERM_RTOL)
     assert _matched_gap(base.locations, result.locations) <= PERM_RTOL
 
 
 def _promoted(preset, seed, sigma, dtype):
-    """prepare() and the observation of one cell, with the samples, nodes,
+    """The prepared system and the observation of one cell, with the samples, nodes,
     truth and u cast to `dtype`."""
     samples = SampleSet(preset.samples(seed).points.astype(dtype))
     nodes = CollocationNodes(preset.nodes().nodes.astype(dtype))
     truth = SpikeSignal(*(a.astype(dtype) for a in (preset.truth.locations, preset.truth.weights)))
     u = synthesize(preset.kernel, truth, samples).astype(dtype)
-    return prepare(preset.kernel, samples, nodes), add_noise(u, sigma, seed)
+    return PreparedSystem(preset.kernel, samples, nodes), add_noise(u, sigma, seed)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -148,6 +150,28 @@ def test_real_arithmetic_is_the_same_maths(preset_id, method, sigma_index, seed)
 def test_complex_kernels_stay_complex(preset_id):
     # complex samples (rational, spectral) or a complex kernel (fourier)
     preset = load_preset(preset_id)
-    prepared = prepare(preset.kernel, preset.samples(0), preset.nodes())
+    prepared = PreparedSystem(preset.kernel, preset.samples(0), preset.nodes())
     arrays = (prepared.system.normalized, prepared.factors.left, prepared.factors.right)
     assert [a.dtype for a in arrays] == [np.complex128] * 3
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    preset_id=st.sampled_from(PRESET_IDS),
+    sigma_index=st.integers(0, 2),
+    seed=st.integers(0, 39),
+)
+def test_first_user_of_a_shared_piece_changes_no_result(preset_id, sigma_index, seed):
+    # The first cell on a sample set builds the collocation system, its SVD
+    # and its method's shared piece; the others reuse them.  Running the
+    # methods in reverse order changes which cell builds what, and must
+    # change nothing in the records but their wall times.
+    preset = load_preset(preset_id)
+    methods = [make_method("lcurve"), make_method("pinv"), make_method("fixed-gamma", gamma=1e-3)]
+    sigmas = [preset.sigma_list[sigma_index]]
+    forward = run_sweep(preset, methods, [seed], sigmas)
+    backward = run_sweep(preset, methods[::-1], [seed], sigmas)
+    # repr writes every bit of a float, -0.0 and NaN included
+    assert [repr({**vars(r), "wall_time_ms": 0.0}) for r in backward] == [
+        repr({**vars(r), "wall_time_ms": 0.0}) for r in forward
+    ]

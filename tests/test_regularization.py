@@ -365,7 +365,7 @@ def test_shared_table_curvature_bitwise(preset_id):
     # evaluation that builds the filter stack per rhs, table untouched
     preset = load_preset(preset_id)
     samples = preset.samples(0)
-    factors = spikerec.eigenmatrix.prepare(preset.kernel, samples, preset.nodes()).factors
+    factors = spikerec.eigenmatrix.PreparedSystem(preset.kernel, samples, preset.nodes()).factors
     grid, terms = factors.lcurve_table
     assert grid.tobytes() == lcurve_gamma_grid(factors, 200).tobytes()
     before = terms.copy()

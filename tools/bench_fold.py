@@ -9,7 +9,8 @@ before the next one overwrites it).  Each run becomes one entry appended to
 seed and trace flag, the median, q1, q3 and n of every end-to-end metric
 that BENCHMARK.json names, and whether every record matched the reference
 (`correct`) and how many runs failed (`failed`).  `--out-dir` writes the
-files elsewhere.
+files elsewhere.  A file without those metrics, as a `--trace 1` run is,
+exits 1 before any file is written.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ def entry(result: dict, commit: str, metric_names) -> dict:
     check = result["check"]
     metrics = {}
     for name in metric_names:
+        if name not in result["metrics"]:
+            raise ValueError(f"no end-to-end metric {name} (a --trace 1 run has none)")
         m = result["metrics"][name]
         metrics[name] = {"median": m["value"], "q1": m["q1"], "q3": m["q3"], "n": m["n"]}
     return {
@@ -44,9 +47,13 @@ def fold(paths, commit: str, out_dir: Path) -> list:
     returns the files written."""
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     runs = {}
+    # read every file before writing any, so a bad one leaves no file changed
     for path in paths:
-        result = json.loads(Path(path).read_text())
-        runs.setdefault(result["workload"], []).append(entry(result, commit, names))
+        try:
+            result = json.loads(Path(path).read_text())
+            runs.setdefault(result["workload"], []).append(entry(result, commit, names))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     written = []
     for workload, entries in sorted(runs.items()):
         target = out_dir / f"BENCH_{workload}.json"
@@ -64,7 +71,12 @@ def main(argv=None) -> int:
     p.add_argument("--out-dir", type=Path, default=ROOT)
     p.add_argument("results", nargs="+", type=Path)
     args = p.parse_args(argv)
-    for path in fold(args.results, args.commit, args.out_dir):
+    try:
+        written = fold(args.results, args.commit, args.out_dir)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    for path in written:
         print(path)
     return 0
 
