@@ -185,16 +185,18 @@ def esprit_extract(A: np.ndarray, n_x: int) -> tuple:
         raise RankDeficient(f"sigma_{n_x}(A) = {s[n_x - 1]:.3e} below {RANK_TOL:g} * sigma_1")
     v_star = vh[:n_x, :]
     v_plus, v_minus = v_star[:, 1:], v_star[:, :-1]
-    cond_minus = float(np.linalg.cond(v_minus))
+    # Psi = V_plus pinv(V_minus) by a small least-squares solve, which also
+    # gives V_minus's singular values; x/0 and 0/0 read inf, as in np.linalg.cond
+    psi_t, _, _, sv = np.linalg.lstsq(v_minus.T, v_plus.T, rcond=None)
+    with np.errstate(divide="ignore", over="ignore"):
+        cond_minus = float(sv[0] / sv[-1]) if sv[0] else np.inf
     if cond_minus > SHIFT_COND_LIMIT:
         warnings.warn(
             f"cond(V_minus) = {cond_minus:.3e} exceeds {SHIFT_COND_LIMIT:g}",
             IllConditionedShiftWarning, stacklevel=2,
         )
-    # Psi = V_plus pinv(V_minus), formed by a small least-squares solve
-    psi = np.linalg.lstsq(v_minus.T, v_plus.T, rcond=None)[0].T
     gap = float(s[n_x] / s[n_x - 1]) if s.size > n_x else 0.0
-    return np.linalg.eigvals(psi), cond_minus, gap
+    return np.linalg.eigvals(psi_t.T), cond_minus, gap
 
 
 def recover_weights(

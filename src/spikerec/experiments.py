@@ -190,13 +190,17 @@ def run_one(
 def run_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> list:
     """All (sigma, seed, method) cells; one noise draw shared per (sigma, seed).
 
+    Empty or repeated methods (by variant), seeds or sigmas raise ValueError.
     Seeds run outermost.  One `PreparedSystem` serves every cell of a seed,
     and of the following seeds while their sample points stay the same; its
     first cell to need a shared piece builds it.
     """
     sigmas = preset.sigma_list if sigmas is None else tuple(sigmas)
-    if not methods or not len(seeds) or not sigmas:
-        raise ValueError("need at least one method, one seed and one sigma")
+    variants = [m.variant.value for m in methods]
+    for name, values in (("method", variants), ("seed", seeds), ("sigma", sigmas)):
+        # none gives no record, a repeat two under one key (0.0 == -0.0)
+        if not len(values) or len(set(values)) != len(values):
+            raise ValueError(f"need at least one {name}, none repeated: {list(values)!r}")
     nodes = preset.nodes()
     records = []
     prepared = None

@@ -38,7 +38,7 @@ class SvdFactors:
 
     @cached_property
     def lcurve_table(self) -> tuple:
-        """(gamma grid, (6, LCURVE_GRID, r) filter stack) of the L-curve scan.
+        """(gamma grid, (3, LCURVE_GRID, r) `_filter_terms` stack) of the L-curve scan.
 
         Both depend on the singular values alone, so every rhs filtered by
         these factors shares one read-only table, built on first use.  Rank
@@ -103,11 +103,12 @@ def truncated_pinv_apply(factors: SvdFactors, tol: float, rhs: np.ndarray) -> np
 
 
 def _project(factors: SvdFactors, rhs: np.ndarray) -> tuple:
-    """(rhs, U^H rhs, squared norm of rhs's part outside the range of U)."""
+    """(U^H rhs, squared norm of rhs's part outside the range of U, ||rhs||)."""
     rhs = as_float(rhs)
     beta = factors.left.conj().T @ rhs
-    perp_sq = max(float(np.linalg.norm(rhs) ** 2 - np.linalg.norm(beta) ** 2), 0.0)
-    return rhs, beta, perp_sq
+    norm = np.linalg.norm(rhs)
+    perp_sq = max(float(norm**2 - np.linalg.norm(beta) ** 2), 0.0)
+    return beta, perp_sq, norm
 
 
 def _tikhonov_from_coeffs(factors, beta, perp_sq, gamma):
@@ -124,43 +125,40 @@ def tikhonov_solve(factors: SvdFactors, rhs: np.ndarray, gamma: float) -> Tikhon
     """Minimizer of ||G v - rhs||^2 + gamma^2 ||v||^2 via SVD filter factors."""
     if not 0 < gamma < np.inf:  # False for NaN
         raise ValueError("gamma must be finite and positive")
-    _, beta, perp_sq = _project(factors, rhs)
+    beta, perp_sq, _ = _project(factors, rhs)
     v, res, sol = _tikhonov_from_coeffs(factors, beta, perp_sq, gamma)
     return TikhonovSolution(v=v, gamma=float(gamma), residual_norm=res, solution_norm=sol)
 
 
 def _filter_terms(gamma, s_sq):
-    """The (6, r) stack of filter-factor products at gamma, (6, grid, r) on a
-    1-D grid: what `_neg_curvature` weights and sums, free of the rhs.
+    """The (3, r) stack (d^2, d^3, d^4) at gamma, (3, grid, r) on a 1-D grid,
+    for d = 1 / (s^2 + gamma^2): the rhs-free basis `_curvature` weights.
 
-    Rows are f^2, (1-f)^2, f f', (1-f) f', f'^2 + f f'' and (1-f) f'' - f'^2
-    for the Tikhonov filter factors f = s^2 / (s^2 + gamma^2).
+    The Tikhonov filter factors are f = s^2 d and 1 - f = gamma^2 d, so every
+    filter-factor product the curvature needs is a power of d times s^2k.
     """
     if isinstance(gamma, np.ndarray):
         gamma = gamma[:, None]
-    f = s_sq / (s_sq + gamma * gamma)
-    cf = 1.0 - f
-    f1 = -2.0 * f * cf / gamma
-    f2 = -f1 * (3.0 - 4.0 * f) / gamma
-    f1_sq = f1 * f1
-    # Few ufunc calls: the Brent refinement calls this with a scalar gamma,
-    # where NumPy call overhead dominates.  Products keep the reference's
-    # operand order (bitwise equal), and squares are products since a
-    # scalar's ** 2 may go through libm pow.
-    terms = np.array((f, cf) * 3)
-    terms *= np.array((f, cf, f1, f1, f2, f2))
-    terms[4] += f1_sq
-    terms[5] -= f1_sq
-    return terms
+    d = 1.0 / (s_sq + gamma * gamma)
+    d2 = d * d
+    return np.array((d2, d2 * d, d2 * d2))
 
 
-def _curvature(terms, weights, perp_sq):
-    """Negative curvature from a `_filter_terms` stack and the rhs's (6, r)
-    weights; `terms` is not modified, so a shared table can be passed."""
-    terms = terms * (weights if terms.ndim == 2 else weights[:, None])
-    eta_sq, rho_sq, phi, psi, dphi, dpsi = terms.sum(axis=-1)
-    # NumPy scalars from here on: 0/0 and overflow stay NaN/inf, and a
-    # scalar ** 1.5 is libm pow (an array's may differ in the last bit).
+def _curvature(gamma, terms, weights, perp_sq):
+    """Negative curvature at gamma from a `_filter_terms` stack and the rhs's
+    (r, 3) weights (a, s^2 a, s^4 a), a = |U^H rhs|^2; `terms` is not
+    modified, so a shared table can be passed."""
+    # sums[m - 2, k] = S(k, m) = sum s^2k d^m a, a NumPy scalar at a scalar
+    # gamma: from here on 0/0 and overflow stay NaN/inf, and a scalar ** 1.5
+    # is libm pow (an array's may differ in the last bit).
+    sums = np.matmul(terms, weights).swapaxes(1, -1)
+    s13, s24, g_sq = sums[1, 1], sums[2, 2], gamma * gamma
+    eta_sq = sums[0, 1]
+    rho_sq = g_sq * g_sq * sums[0, 0]
+    phi = -2.0 * gamma * s13
+    psi = g_sq * phi
+    dphi = 4.0 * g_sq * sums[2, 1] + 6.0 * s13 - 8.0 * s24
+    dpsi = g_sq * (6.0 * s13 - 12.0 * s24)
     eta = np.sqrt(eta_sq)
     rho = np.sqrt(rho_sq + perp_sq)
     deta = phi / eta
@@ -181,10 +179,10 @@ def _neg_curvature(gamma, s_sq, weights, perp_sq):
 
     Analytic first/second derivatives from the SVD expansion, following
     Hansen's regularization-tools formulation, for real or complex data.
-    `s_sq` is s * s and `weights` the (6, r) stack (|xi|^2, |beta|^2) * 3.
+    `s_sq` is s * s and `weights` the (r, 3) stack of `_curvature`.
     A scalar `gamma` gives a float, a 1-D grid one value per gamma.
     """
-    return _curvature(_filter_terms(gamma, s_sq), weights, perp_sq)
+    return _curvature(gamma, _filter_terms(gamma, s_sq), weights, perp_sq)
 
 
 _BRENT_CG = 0.3819660  # golden-section fraction, as in scipy.optimize.Brent
@@ -276,18 +274,18 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray) -> TikhonovSolution:
     factors, by this rhs alone.
     """
     grid, terms = factors.lcurve_table
-    rhs, beta, perp_sq = _project(factors, rhs)
+    beta, perp_sq, norm = _project(factors, rhs)
     s = factors.singular_values
-    if np.linalg.norm(rhs) == 0.0:
+    if norm == 0.0:
         # degenerate rhs: curvature is 0/0 everywhere
-        zero = np.zeros(factors.right.shape[0], np.result_type(factors.right, rhs))
+        zero = np.zeros(factors.right.shape[0], beta.dtype)
         return TikhonovSolution(
             v=zero, gamma=float(s[0]), residual_norm=0.0, solution_norm=0.0, flagged=True
         )
-    abs_beta_sq = np.abs(beta) ** 2
+    a = np.abs(beta) ** 2
     s_sq = s * s
-    weights = np.array((abs_beta_sq / s_sq, abs_beta_sq) * 3)
-    neg = _curvature(terms, weights, perp_sq)
+    weights = np.stack((a, s_sq * a, s_sq * s_sq * a), axis=1)
+    neg = _curvature(grid, terms, weights, perp_sq)
     idx = int(np.argmin(neg))
     flagged = idx == 0 or idx == grid.size - 1
     gamma = grid[idx]

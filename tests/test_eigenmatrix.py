@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from spikerec import (
 )
 from spikerec import eigenmatrix, make_method
 from spikerec.eigenmatrix import compute_svd_or_degenerate
-from spikerec.errors import AllTruncated, DegenerateDesign, DomainError, RankDeficient
+from spikerec.errors import (
+    AllTruncated, DegenerateDesign, DomainError, IllConditionedShiftWarning, RankDeficient
+)
 from spikerec.kernels import CollocationSystem, Observations, SampleSet, SpikeSignal
 from spikerec.experiments import load_preset
 
@@ -196,6 +200,25 @@ class TestEsprit:
         _, cond_minus, gap = esprit_extract(A, 2)
         assert cond_minus >= 1.0
         assert 0.0 <= gap < 1e-10
+
+    @pytest.mark.parametrize("n_x", [1, 2, 3])
+    def test_cond_matches_np_cond(self, n_x):
+        # cond(V_minus) comes from the least-squares solve's singular values
+        rng = np.random.default_rng(12)
+        A = random_complex(rng, (10, n_x + 3))
+        vh = np.linalg.svd(A, full_matrices=False)[2]
+        want = np.linalg.cond(vh[:n_x, :-1])
+        assert esprit_extract(A, n_x)[1] == pytest.approx(want, rel=1e-13)
+
+    def test_zero_v_minus_cond_is_inf(self):
+        # V* = e_last makes V_minus zero: 0/0 reads inf, as np.linalg.cond has it
+        A = np.zeros((6, 4))
+        A[:, -1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.warns(IllConditionedShiftWarning):
+                _, cond_minus, _ = esprit_extract(A, 1)
+        assert cond_minus == np.inf == np.linalg.cond(np.zeros((1, 3)))
 
 
 class TestRecoverWeights:

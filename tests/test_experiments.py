@@ -191,6 +191,21 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(load_preset("fourier"), [make_method("lcurve")], seeds=[0], sigmas=[])
 
+    @pytest.mark.parametrize(
+        "methods, seeds, sigmas",
+        [
+            (["pinv"], [0], [0.1, 0.1]),
+            (["pinv"], [0], [0.0, -0.0]),
+            (["pinv"], [0, 1, 0], None),
+            (["lcurve", "pinv", "lcurve"], [0], None),
+        ],
+        ids=["sigma", "signed-zero-sigma", "seed", "method"],
+    )
+    def test_repeats_rejected(self, methods, seeds, sigmas):
+        # each repeat would file a second record under the same key
+        with pytest.raises(ValueError, match="none repeated"):
+            run_sweep(load_preset("fourier"), [make_method(m) for m in methods], seeds, sigmas)
+
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, sigma):
         # a usage error, not a failed record for every cell
