@@ -42,6 +42,7 @@ from .regularization import (
 from .experiments import (
     ExperimentPreset,
     RunRecord,
+    check_sweep,
     emit_report,
     load_preset,
     make_method,

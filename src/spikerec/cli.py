@@ -4,8 +4,8 @@ Usage:
     recover --preset rational --method lcurve --method pinv \
             --sigma 0.1 --seeds 20 --out results --format csv
 
-Exit codes: 0 on success, 1 on usage errors, 2 if any run recorded a
-fatal stage failure.
+Exit codes: 0 on success, 1 on usage errors (mostly the ValueError of
+load_preset, make_method or check_sweep), 2 if any run failed mid-pipeline.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import REPORT_FORMATS, emit_report, load_preset, make_method, run_sweep
+from .experiments import (
+    REPORT_FORMATS, Variant, check_sweep, emit_report, load_preset, make_method, run_sweep
+)
 from .kernels import PRESET_IDS
 
 CONFIG_KEYS = frozenset(("n_s", "n_a", "beta", "sigma_list", "l", "tol_factor"))
@@ -35,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         action="append",
-        choices=("pinv", "lcurve", "fixed-gamma"),
+        choices=[v.value for v in Variant],
         help="may be given more than once to compare methods on shared noise",
     )
     p.add_argument("--sigma", action="append", type=float, help="noise level; repeatable")
@@ -80,21 +82,12 @@ def main(argv=None) -> int:
             return _usage_error(f"config {args.config} has a null value")
     flags = {k: getattr(args, k) for k in ("beta", "l", "tol_factor")}
     flags["sigma_list"] = args.sigma
-    # a flag given on the command line wins; load_preset and make_method
-    # check every value
-    settings = {**overrides, **{k: v for k, v in flags.items() if v is not None}}
-    seeds = args.seed_list if args.seed_list is not None else list(range(args.seeds))
-    if not seeds:
-        return _usage_error("--seeds must be >= 1")
-    if min(seeds) < 0:
-        return _usage_error("seeds must be >= 0")
+    # a flag given on the command line wins; the library checks every value
+    method_args = {**overrides, **{k: v for k, v in flags.items() if v is not None}}
+    preset_args = {k: method_args.pop(k) for k in ("n_s", "n_a", "beta") if k in method_args}
+    sigmas = method_args.pop("sigma_list", None)
+    seeds = args.seed_list if args.seed_list is not None else range(args.seeds)
     names = args.method or ["lcurve"]
-    for flag, values in (("--seed-list", seeds), ("--method", names)):
-        if len(set(values)) != len(values):
-            return _usage_error(f"{flag} repeats a value")
-    preset_keys = ("n_s", "n_a", "beta", "sigma_list")
-    preset_args = {k: v for k, v in settings.items() if k in preset_keys}
-    method_args = {k: v for k, v in settings.items() if k not in preset_keys}
     for key, method in METHOD_FLAGS:
         if getattr(args, key) is not None and method not in names:
             return _usage_error(f"--{key.replace('_', '-')} is used only by --method {method}")
@@ -109,13 +102,14 @@ def main(argv=None) -> int:
             )
             for name in names
         ]
+        methods, seeds, sigmas = check_sweep(preset, methods, seeds, sigmas)
     except ValueError as exc:
         return _usage_error(str(exc))
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _usage_error(f"cannot create output directory {args.out}: {exc}")
-    records = run_sweep(preset, methods, seeds)
+    records = run_sweep(preset, methods, seeds, sigmas)
     paths = emit_report(records, args.format, args.out, include_timing=not args.no_timing)
     for path in paths:
         print(path)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Collection
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -92,19 +93,15 @@ REPORT_FORMATS = ("csv", "json", "plotdata")
 
 
 def load_preset(
-    id: str,
-    beta: float = DEFAULT_BETA,
-    n_s: int | None = None,
-    n_a: int = 32,
-    sigma_list: tuple | None = None,
+    id: str, beta: float = DEFAULT_BETA, n_s: int | None = None, n_a: int = 32
 ) -> ExperimentPreset:
     """The five benchmark configurations, optionally overriding sample and
-    node counts, beta and the noise levels.
+    node counts and beta.
 
     An unusable override raises ValueError: `n_s` and `n_a` are integers of
-    at least the spike count (even `n_s` on spectral), `beta` is finite and
-    > 0, and `sigma_list` is a non-empty list or tuple of distinct finite
-    values >= 0.
+    at least the spike count (even `n_s` on spectral), and `beta` is finite
+    and > 0.  `sigma_list` is the preset's default noise levels; other
+    levels go to `run_sweep(sigmas=...)`.
     """
     if id == "rational":
         kernel = KernelDescriptor(Kind.RATIONAL, UNIT_DISK)
@@ -124,8 +121,6 @@ def load_preset(
     else:
         raise UnknownPreset(f"unknown preset {id!r}")
     n_s = PRESET_N_S[id] if n_s is None else n_s
-    if sigma_list is None:
-        sigma_list = (5e-2, 5e-3, 5e-4) if id == "laplace" else (1e-1, 1e-2, 1e-3)
     # ESPRIT needs n_x sample rows, and rank(A) <= rank(G-hat) <= n_a
     for key, value in (("n_s", n_s), ("n_a", n_a)):
         if not (is_integer(value) and value >= locs.size):
@@ -134,19 +129,13 @@ def load_preset(
         raise ValueError("the spectral preset needs an even n_s")
     if not (is_real(beta) and 0 < beta < np.inf):
         raise ValueError(f"beta must be finite and > 0, not {beta!r}")
-    if not (isinstance(sigma_list, (list, tuple)) and sigma_list) or not all(
-        is_real(x) and 0 <= x < np.inf for x in sigma_list
-    ):
-        raise ValueError(f"sigma_list must list finite numbers >= 0, not {sigma_list!r}")
-    if len(set(sigma_list)) != len(sigma_list):  # 0.0 == -0.0 counts as a repeat
-        raise ValueError(f"sigma_list repeats a value: {sigma_list!r}")
     return ExperimentPreset(
         id=id,
         kernel=kernel,
         truth=SpikeSignal(locs, np.ones(locs.size)),
         n_s=n_s,
         n_a=n_a,
-        sigma_list=tuple(sigma_list),
+        sigma_list=(5e-2, 5e-3, 5e-4) if id == "laplace" else (1e-1, 1e-2, 1e-3),
         beta=beta,
     )
 
@@ -187,20 +176,39 @@ def run_one(
     )
 
 
+def check_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> tuple:
+    """`(methods, seeds, sigmas)` as tuples; `sigmas=None` is `preset.sigma_list`.
+    ValueError names an argument that is not a collection (a generator would be
+    spent by a first check), is empty or repeats an entry (no record, or two
+    under one key; methods by variant, 0.0 == -0.0), or a method without the
+    preset's `n_x`, a seed not an integer >= 0, or a sigma not a finite real
+    >= 0 (bools are neither)."""
+    sigmas = preset.sigma_list if sigmas is None else sigmas
+    for name, values, valid, rule in (
+        ("method", methods, lambda m: m.n_x == preset.truth.n_x, f"have n_x = {preset.truth.n_x}"),
+        ("seed", seeds, lambda s: is_integer(s) and s >= 0, "be integers >= 0"),
+        ("sigma", sigmas, lambda x: is_real(x) and 0 <= x < np.inf, "be finite numbers >= 0"),
+    ):
+        if not (isinstance(values, Collection) and getattr(values, "ndim", 1)):  # 0-d arrays
+            raise ValueError(f"{name}s must be a collection such as a list, not {values!r}")
+        for value in values:
+            if not valid(value):
+                raise ValueError(f"{name}s must {rule}, not {value!r}")
+        labels = [m.variant.value for m in values] if name == "method" else list(values)
+        if not labels or len(set(labels)) < len(labels):
+            raise ValueError(f"need at least one {name}, none repeated: {labels!r}")
+    return tuple(methods), tuple(seeds), tuple(sigmas)
+
+
 def run_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> list:
     """All (sigma, seed, method) cells; one noise draw shared per (sigma, seed).
 
-    Empty or repeated methods (by variant), seeds or sigmas raise ValueError.
-    Seeds run outermost.  One `PreparedSystem` serves every cell of a seed,
-    and of the following seeds while their sample points stay the same; its
-    first cell to need a shared piece builds it.
+    The arguments pass `check_sweep` first; `sigmas=None` runs the preset's
+    levels.  Seeds run outermost.  One `PreparedSystem` serves every cell of
+    a seed and of the following seeds with the same sample points; its first
+    cell to need a shared piece builds it.
     """
-    sigmas = preset.sigma_list if sigmas is None else tuple(sigmas)
-    variants = [m.variant.value for m in methods]
-    for name, values in (("method", variants), ("seed", seeds), ("sigma", sigmas)):
-        # none gives no record, a repeat two under one key (0.0 == -0.0)
-        if not len(values) or len(set(values)) != len(values):
-            raise ValueError(f"need at least one {name}, none repeated: {list(values)!r}")
+    methods, seeds, sigmas = check_sweep(preset, methods, seeds, sigmas)
     nodes = preset.nodes()
     records = []
     prepared = None
@@ -223,6 +231,7 @@ def _csv_cell(value) -> str:
 
 def emit_report(records, format: str, outdir, include_timing: bool = True) -> list:
     """Write records as csv, json, or plotdata files; returns written paths."""
+    records = list(records)  # read once: plotdata and the empty check each read them
     if not records:
         raise ValueError("no records to report")
     if format not in REPORT_FORMATS:
@@ -249,13 +258,11 @@ def emit_report(records, format: str, outdir, include_timing: bool = True) -> li
 
 def _emit_plotdata(records, outdir: Path) -> list:
     paths = []
-    presets_seen = {}
-    for r in records:
-        presets_seen.setdefault(r.preset, load_preset(r.preset))
-    for pid, preset in sorted(presets_seen.items()):
+    for pid in sorted({r.preset for r in records}):
         path = outdir / f"{pid}_truth.dat"
         lines = ["# loc_re loc_im weight_re weight_im"]
-        for x, w in zip(preset.truth.locations, preset.truth.weights):
+        truth = load_preset(pid).truth
+        for x, w in zip(truth.locations, truth.weights):
             lines.append(f"{x.real:.17g} {x.imag:.17g} {w.real:.17g} {w.imag:.17g}")
         path.write_text("\n".join(lines) + "\n")
         paths.append(path)
@@ -278,9 +285,6 @@ def _emit_plotdata(records, outdir: Path) -> list:
 
 
 def make_method(name: str, n_x: int = 4, **settings) -> MethodConfig:
-    """`MethodConfig` of method `name`; `settings` are its other fields."""
-    try:
-        variant = Variant(name)
-    except ValueError:
-        raise ValueError(f"unknown method {name!r}") from None
-    return MethodConfig(variant, n_x, **settings)
+    """`MethodConfig` of method `name`, a `Variant` value (ValueError
+    otherwise); `settings` are its other fields."""
+    return MethodConfig(Variant(name), n_x, **settings)

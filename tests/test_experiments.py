@@ -8,6 +8,7 @@ import pytest
 from spikerec import (
     PreparedSystem,
     add_noise,
+    check_sweep,
     load_preset,
     make_method,
     run_one,
@@ -42,8 +43,10 @@ class TestLoadPreset:
         assert load_preset("fourier").sigma_list == (1e-1, 1e-2, 1e-3)
 
     def test_overrides(self):
-        p = load_preset("fourier", n_s=50, n_a=16, sigma_list=(0.2,))
-        assert p.n_s == 50 and p.n_a == 16 and p.sigma_list == (0.2,)
+        # noise levels are not a preset override: they go to the sweep
+        p = load_preset("fourier", n_s=50, n_a=16)
+        assert p.n_s == 50 and p.n_a == 16
+        assert check_sweep(p, [make_method("pinv")], [0], sigmas=(0.2,))[2] == (0.2,)
         assert p.samples(3).n_s == 50
 
     def test_unknown(self):
@@ -64,16 +67,19 @@ NAN = float("nan")
     [
         lambda: make_method("pinv", tol_factor=NAN),
         lambda: make_method("lcurve", l=5.5),
+        lambda: make_method("bogus"),
         lambda: load_preset("fourier", n_s=2),
         lambda: load_preset("fourier", n_a=3),
-        lambda: load_preset("fourier", sigma_list=(NAN,)),
+        lambda: check_sweep(load_preset("fourier"), [make_method("pinv")], [0], sigmas=(NAN,)),
         lambda: load_preset("fourier", beta=-1.0),
         lambda: load_preset("spectral", n_s=255),
-        lambda: load_preset("fourier", sigma_list=(0.1, 0.01, 0.1)),
-        lambda: load_preset("fourier", sigma_list=[0.0, -0.0]),
+        lambda: check_sweep(
+            load_preset("fourier"), [make_method("pinv")], [0], sigmas=(0.1, 0.01, 0.1)
+        ),
+        lambda: check_sweep(load_preset("fourier"), [make_method("pinv")], [0], [0.0, -0.0]),
     ],
     ids=[
-        "nan-tol-factor", "float-l", "n_s-below-n_x", "n_a-below-n_x",
+        "nan-tol-factor", "float-l", "unknown-method", "n_s-below-n_x", "n_a-below-n_x",
         "nan-sigma", "negative-beta", "odd-spectral-n_s", "repeated-sigma",
         "signed-zero-sigmas",
     ],
@@ -118,9 +124,9 @@ class TestRunOne:
 
 class TestRunSweep:
     def test_cardinality_and_order(self):
-        p = load_preset("fourier", sigma_list=(1e-1, 1e-2))
+        p = load_preset("fourier")
         methods = [make_method("lcurve"), make_method("pinv")]
-        recs = run_sweep(p, methods, seeds=range(3))
+        recs = run_sweep(p, methods, seeds=range(3), sigmas=(1e-1, 1e-2))
         assert len(recs) == 2 * 3 * 2
         keys = [r.sort_key() for r in recs]
         assert keys == sorted(keys)
@@ -162,8 +168,11 @@ class TestRunSweep:
                 return _real(*args)
 
             monkeypatch.setattr(eigenmatrix, name, counted)
-        p = load_preset(pid, sigma_list=(1e-2, 1e-1))
-        recs = run_sweep(p, [make_method("lcurve"), make_method("pinv")], seeds=range(seeds))
+        p = load_preset(pid)
+        recs = run_sweep(
+            p, [make_method("lcurve"), make_method("pinv")], seeds=range(seeds),
+            sigmas=(1e-2, 1e-1),
+        )
         assert all(r.failed_stage is None for r in recs)
         assert calls["build_collocation_system"] == builds
         # one collocation SVD per build, one weight SVD per record
@@ -212,6 +221,41 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(load_preset("fourier"), [make_method("pinv")], seeds=[0], sigmas=[sigma])
 
+    @pytest.mark.parametrize(
+        "methods, seeds, sigmas",
+        [
+            ([make_method("pinv", n_x=3)], [0], [0.1]),
+            ((make_method(m) for m in ["pinv"]), [0], [0.1]),
+            ([make_method("pinv")], (s for s in [0]), [0.1]),
+            ([make_method("pinv")], np.array(3), [0.1]),
+            ([make_method("pinv")], [0.5], [0.1]),
+            ([make_method("pinv")], ["1"], [0.1]),
+            ([make_method("pinv")], [True], [0.1]),
+            ([make_method("pinv")], [0], [0.1, "x"]),
+            ([make_method("pinv")], [0], 0.1),
+            ([make_method("pinv")], [0], [True]),
+        ],
+        ids=[
+            "method-n_x", "method-generator", "seed-generator", "0-d-array-seeds", "float-seed",
+            "string-seed",
+            "bool-seed", "string-sigma", "scalar-sigmas", "bool-sigma",
+        ],
+    )
+    def test_bad_sweep_input_rejected_before_any_run(self, monkeypatch, methods, seeds, sigmas):
+        # each would run some cells, file a wrong record or none, or fail
+        # with another error; check_sweep names it before the first cell
+        calls = []
+        real = experiments.recover
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "recover", spy)
+        with pytest.raises(ValueError):
+            run_sweep(load_preset("fourier"), methods, seeds, sigmas)
+        assert calls == []
+
 
 def _samples_on_node(monkeypatch, bad_seeds):
     """Put the first sample point of `bad_seeds` on the collocation node 1."""
@@ -233,8 +277,9 @@ class TestSharedStageFailure:
     SIGMAS = (1e-2, 1e-1)
 
     def _sweep(self):
-        p = load_preset("rational", sigma_list=self.SIGMAS)
-        return run_sweep(p, [make_method(m) for m in self.METHODS], seeds=[0, 1, 2])
+        p = load_preset("rational")
+        methods = [make_method(m) for m in self.METHODS]
+        return run_sweep(p, methods, seeds=[0, 1, 2], sigmas=self.SIGMAS)
 
     def test_collocation_failure_fails_every_cell_of_the_seed(self, monkeypatch):
         _samples_on_node(monkeypatch, {1})
@@ -260,9 +305,9 @@ class TestSharedStageFailure:
         # a cutoff above sigma_1 fails building pinv's M; the failure is not
         # kept on the shared system, so every pinv cell fails as a cell on
         # its own system does, and the lcurve cells of the seed still run
-        p = load_preset("rational", sigma_list=self.SIGMAS)
+        p = load_preset("rational")
         pinv = make_method("pinv", tol_factor=10.0)
-        recs = run_sweep(p, [pinv, make_method("lcurve")], seeds=[0, 1, 2])
+        recs = run_sweep(p, [pinv, make_method("lcurve")], seeds=[0, 1, 2], sigmas=self.SIGMAS)
         assert len(recs) == 3 * 2 * len(self.SIGMAS)
         for r in recs:
             if r.method == "lcurve":
@@ -311,8 +356,7 @@ FAILED_PINV_JSON = """ },
 
 @pytest.fixture(scope="module")
 def records():
-    p = load_preset("fourier", sigma_list=(1e-2,))
-    return run_sweep(p, [make_method("lcurve")], seeds=[0, 1])
+    return run_sweep(load_preset("fourier"), [make_method("lcurve")], seeds=[0, 1], sigmas=(1e-2,))
 
 
 class TestEmitReport:
@@ -348,8 +392,8 @@ class TestEmitReport:
         # records take the observation's int seed and float sigma, not the
         # caller's values: json cannot write a NumPy int64, and an integer
         # sigma is written as a float in JSON and as before in CSV and plotdata
-        p = load_preset("fourier", sigma_list=[1])
-        recs = run_sweep(p, [make_method("pinv")], seeds=np.arange(2))
+        p = load_preset("fourier")
+        recs = run_sweep(p, [make_method("pinv")], seeds=np.arange(2), sigmas=[1])
         assert all(type(r.seed) is int and type(r.sigma) is float for r in recs)
         for fmt in ("csv", "json", "plotdata"):
             emit_report(recs, fmt, tmp_path / fmt, include_timing=False)
@@ -396,11 +440,11 @@ class TestEmitReport:
         np.testing.assert_allclose(data[:, 2] + 1j * data[:, 3], truth.weights)
 
     def test_csv_byte_deterministic_without_timing(self, tmp_path):
-        p = load_preset("rational", sigma_list=(1e-2,))
+        p = load_preset("rational")
         methods = [make_method("lcurve"), make_method("pinv")]
         out = []
         for tag in ("a", "b"):
-            recs = run_sweep(p, methods, seeds=range(3))
+            recs = run_sweep(p, methods, seeds=range(3), sigmas=(1e-2,))
             path = emit_report(recs, "csv", tmp_path / tag, include_timing=False)[0]
             out.append(path.read_bytes())
         assert out[0] == out[1]
@@ -408,6 +452,18 @@ class TestEmitReport:
     def test_no_records(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], "csv", tmp_path)
+
+    def test_no_records_from_a_generator(self, tmp_path):
+        with pytest.raises(ValueError, match="no records to report"):
+            emit_report((r for r in []), "csv", tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+    def test_plotdata_from_a_generator(self, records, tmp_path):
+        # plotdata reads the records twice: the truth files, then the data files
+        expected = [p.name for p in emit_report(records, "plotdata", tmp_path / "list")]
+        paths = emit_report((r for r in records), "plotdata", tmp_path / "gen")
+        assert [p.name for p in paths] == expected
+        assert len(expected) == 2
 
     def test_unknown_format(self, records, tmp_path):
         # rejected before anything is written, the directory included
@@ -516,6 +572,7 @@ class TestCli:
             ([], {"sigma_list": [0.0, -0.0]}),
             (["--method", "pinv", "--method", "pinv"], None),
             (["--seed-list", "3", "3"], None),
+            ([], {"sigma_list": 0.1}),
         ],
         ids=[
             "no-seeds", "negative-seed", "negative-sigma", "nan-sigma",
@@ -526,7 +583,7 @@ class TestCli:
             "nan-gamma", "inf-gamma", "n_s-below-n_x", "n_a-below-n_x",
             "gamma-without-fixed-gamma", "tol-factor-without-pinv",
             "nan-tol-factor-pinv", "repeated-sigma", "repeated-config-sigma",
-            "repeated-method", "repeated-seed",
+            "repeated-method", "repeated-seed", "scalar-config-sigma",
         ],
     )
     def test_bad_input_exit_one(self, tmp_path, capsys, extra, config):
@@ -539,6 +596,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, config, names, seeds, sigmas",
+        [
+            (["--seeds", "0"], None, ["lcurve"], range(0), None),
+            (["--seed-list", "3", "-1"], None, ["lcurve"], [3, -1], None),
+            (["--seed-list", "3", "3"], None, ["lcurve"], [3, 3], None),
+            (["--method", "pinv", "--method", "pinv"], None, ["pinv", "pinv"], range(20), None),
+            (["--sigma", "0.1", "--sigma", "0.1"], None, ["lcurve"], range(20), [0.1, 0.1]),
+            ([], {"sigma_list": 0.1}, ["lcurve"], range(20), 0.1),
+        ],
+        ids=[
+            "no-seeds", "negative-seed", "repeated-seed", "repeated-method", "repeated-sigma",
+            "scalar-config-sigma",
+        ],
+    )
+    def test_sweep_rules_have_one_owner(
+        self, tmp_path, capsys, extra, config, names, seeds, sigmas
+    ):
+        # the command line reports check_sweep's message on the same input
+        with pytest.raises(ValueError) as expected:
+            check_sweep(load_preset("fourier"), [make_method(n) for n in names], seeds, sigmas)
+        argv = ["--preset", "fourier", "--out", str(tmp_path / "out")] + extra
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_method_choices_are_the_variants(self):
+        (action,) = [a for a in build_parser()._actions if "--method" in a.option_strings]
+        assert action.choices == [v.value for v in Variant]
 
     @pytest.mark.parametrize(
         "extra, message",
