@@ -5,7 +5,6 @@ extraction, and least-squares weight recovery.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,6 +27,8 @@ from .kernels import (
     as_float,
     build_collocation_system,
     eval_kernel,
+    is_integer,
+    is_real,
 )
 from .regularization import (
     SvdFactors,
@@ -73,17 +74,6 @@ class MethodConfig:
                 raise ValueError(f"gamma is a fixed-gamma setting; {self.variant.value} takes none")
         elif not (is_real(self.gamma) and 0 < self.gamma < np.inf):
             raise ValueError("fixed-gamma variant needs a finite gamma > 0")
-
-
-def is_integer(value) -> bool:
-    """An integer setting; bool is an int subclass but not a count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    """A real-valued setting, not a bool.  Compare it against np.inf to
-    reject NaN and infinities; the comparison is exact for huge ints."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigenmatrix import MethodConfig, PreparedSystem, Variant, is_integer, is_real, recover
-from .errors import SpikerecError, UnknownPreset
+from .eigenmatrix import MethodConfig, PreparedSystem, Variant, recover
+from .errors import SpikerecError
 from .kernels import (
     DEFAULT_BETA,
-    PRESET_N_S,
     CollocationNodes,
-    Domain,
     KernelDescriptor,
-    Kind,
     Observations,
     SampleSet,
     SpikeSignal,
-    UNIT_DISK,
     add_noise,
     chebyshev_nodes,
     generate_samples,
+    is_integer,
+    is_real,
+    preset_row,
     synthesize,
     uniform_circle_nodes,
 )
@@ -95,49 +94,16 @@ REPORT_FORMATS = ("csv", "json", "plotdata")
 def load_preset(
     id: str, beta: float = DEFAULT_BETA, n_s: int | None = None, n_a: int = 32
 ) -> ExperimentPreset:
-    """The five benchmark configurations, optionally overriding sample and
-    node counts and beta.
-
-    An unusable override raises ValueError: `n_s` and `n_a` are integers of
-    at least the spike count (even `n_s` on spectral), and `beta` is finite
-    and > 0.  `sigma_list` is the preset's default noise levels; other
-    levels go to `run_sweep(sigmas=...)`.
+    """A preset of `kernels.PRESETS`, whose `preset_row` checks `id`, `n_s`
+    and `beta`; an `n_a` not an integer >= n_x raises ValueError.  Its
+    `sigma_list` holds the default noise levels; others go to `run_sweep`.
     """
-    if id == "rational":
-        kernel = KernelDescriptor(Kind.RATIONAL, UNIT_DISK)
-        locs = 0.9 * np.exp(2j * np.pi * np.array([0.2, 0.5, 0.8, 1.0]))
-    elif id == "spectral":
-        kernel = KernelDescriptor(Kind.SPECTRAL_RATIONAL, Domain("interval", -1.0, 1.0))
-        locs = np.array([-0.9, -0.2, 0.2, 0.9])
-    elif id == "fourier":
-        kernel = KernelDescriptor(Kind.FOURIER, Domain("interval", -1.0, 1.0))
-        locs = np.array([-0.9, 0.0, 0.5, 0.9])
-    elif id == "laplace":
-        kernel = KernelDescriptor(Kind.LAPLACE, Domain("interval", 0.1, 2.1))
-        locs = np.array([0.2, 1.1, 1.6, 2.0])
-    elif id == "deconv":
-        kernel = KernelDescriptor(Kind.CAUCHY_SQUARED, Domain("interval", -1.0, 1.0))
-        locs = np.array([-0.9, 0.0, 0.5, 0.9])
-    else:
-        raise UnknownPreset(f"unknown preset {id!r}")
-    n_s = PRESET_N_S[id] if n_s is None else n_s
-    # ESPRIT needs n_x sample rows, and rank(A) <= rank(G-hat) <= n_a
-    for key, value in (("n_s", n_s), ("n_a", n_a)):
-        if not (is_integer(value) and value >= locs.size):
-            raise ValueError(f"{key} must be an integer >= {locs.size} (n_x), not {value!r}")
-    if id == "spectral" and n_s % 2:
-        raise ValueError("the spectral preset needs an even n_s")
-    if not (is_real(beta) and 0 < beta < np.inf):
-        raise ValueError(f"beta must be finite and > 0, not {beta!r}")
-    return ExperimentPreset(
-        id=id,
-        kernel=kernel,
-        truth=SpikeSignal(locs, np.ones(locs.size)),
-        n_s=n_s,
-        n_a=n_a,
-        sigma_list=(5e-2, 5e-3, 5e-4) if id == "laplace" else (1e-1, 1e-2, 1e-3),
-        beta=beta,
-    )
+    kernel, locs, n_s, sigmas, _ = preset_row(id, n_s, beta)
+    # rank(A) <= rank(G-hat) <= n_a
+    if not (is_integer(n_a) and n_a >= len(locs)):
+        raise ValueError(f"n_a must be an integer >= {len(locs)} (n_x), not {n_a!r}")
+    truth = SpikeSignal(locs, np.ones(len(locs)))
+    return ExperimentPreset(id, kernel, truth, n_s, n_a, sigmas, beta)
 
 
 def run_one(

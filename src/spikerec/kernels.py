@@ -2,7 +2,9 @@
 
 Covers the five benchmark problems: rational approximation on the unit
 disk, spectral function approximation on a Matsubara grid, Fourier
-inversion, Laplace inversion, and sparse deconvolution.  All routines are
+inversion, Laplace inversion, and sparse deconvolution.  The table
+`PRESETS` holds each one's kernel, truth, sample count, noise levels and
+sample law, and `preset_row` alone reads and checks it.  All routines are
 pure functions of their arguments (seeds included), so they are safe to
 call concurrently.
 
@@ -13,6 +15,7 @@ run in real arithmetic end to end.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,9 +27,6 @@ from numpy.random import Generator, SeedSequence, default_rng
 
 from .errors import DegenerateColumn, DomainError, UnknownPreset
 
-PRESET_N_S = {"rational": 40, "spectral": 256, "fourier": 128, "laplace": 100, "deconv": 128}
-PRESET_IDS = tuple(PRESET_N_S)  # the presets in their canonical order
-
 # Matsubara scale for the spectral preset; no published value exists, and
 # this default keeps the error-vs-noise trend monotone across the benchmark
 # noise levels.  Overridable via config/CLI.
@@ -35,7 +35,6 @@ DEFAULT_BETA = 40.0
 
 class Kind(Enum):
     RATIONAL = "rational"
-    SPECTRAL_RATIONAL = "spectral_rational"
     FOURIER = "fourier"
     LAPLACE = "laplace"
     CAUCHY_SQUARED = "cauchy_squared"
@@ -151,6 +150,17 @@ def as_float(a) -> np.ndarray:
     return a.astype(np.result_type(a, np.float64), copy=False)
 
 
+def is_integer(value) -> bool:
+    """An integer setting; bool is an int subclass but not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real-valued setting, not a bool.  Compare it against np.inf to
+    reject NaN and infinities; the comparison is exact for huge ints."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _rng(seed: int, stream: int) -> Generator:
     # One substream per purpose (0: sample draws, 1: noise draws) so that
     # sample sets and noise realizations are independently reproducible.
@@ -160,7 +170,7 @@ def _rng(seed: int, stream: int) -> Generator:
 def eval_kernel(kernel: KernelDescriptor, s, x):
     """Evaluate g(s, x); broadcasts over array arguments."""
     s, x = as_float(s), as_float(x)
-    if kernel.kind in (Kind.RATIONAL, Kind.SPECTRAL_RATIONAL):
+    if kernel.kind is Kind.RATIONAL:
         diff = s - x
         if np.any(diff == 0):
             raise DomainError("rational kernel has a pole at s = x")
@@ -195,37 +205,65 @@ def chebyshev_nodes(n_a: int, lo: float, hi: float) -> CollocationNodes:
     return CollocationNodes(mapped)
 
 
-def generate_samples(
-    preset: str,
-    rng_seed: int,
-    beta: float = DEFAULT_BETA,
-    n_s: int | None = None,
-) -> SampleSet:
-    """Sampling locations for one of the five presets.
+def _annulus(rng, n, beta):  # the modulus is drawn first, then the angle
+    r = rng.uniform(1.2, 2.2, size=n)
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
 
-    rational: n_s random points with modulus in [1.2, 2.2], angle uniform
-    in [0, 2*pi).  spectral: the deterministic Matsubara grid
-    +/- (2j-1)*pi*i/beta (seed ignored).  fourier/deconv: uniform on
-    [-5, 5].  laplace: uniform on [0, 10].
-    """
-    if preset not in PRESET_N_S:
-        raise UnknownPreset(f"unknown preset {preset!r}")
-    n = PRESET_N_S[preset] if n_s is None else n_s
-    rng = _rng(rng_seed, stream=0)
-    if preset == "rational":
-        r = rng.uniform(1.2, 2.2, size=n)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        return SampleSet(r * np.exp(1j * theta))
-    if preset == "spectral":
-        if n % 2 != 0:
-            raise ValueError("spectral preset needs an even sample count")
-        j = np.arange(1, n // 2 + 1)
-        pos = 1j * (2 * j - 1) * np.pi / beta
-        return SampleSet(np.concatenate([pos, -pos]))
-    if preset in ("fourier", "deconv"):
-        return SampleSet(rng.uniform(-5.0, 5.0, size=n))
-    # laplace
-    return SampleSet(rng.uniform(0.0, 10.0, size=n))
+
+def _matsubara(rng, n, beta):  # +/- (2j - 1) pi i / beta for j = 1..n/2, no draw
+    pos = 1j * (2 * np.arange(1, n // 2 + 1) - 1) * np.pi / beta
+    return np.concatenate([pos, -pos])
+
+
+def _uniform(lo, hi):
+    return lambda rng, n, beta: rng.uniform(lo, hi, size=n)
+
+
+_PM1 = Domain("interval", -1.0, 1.0)
+_SIGMAS = (1e-1, 1e-2, 1e-3)
+# id: (kernel, true locations (unit weights), default n_s, default noise
+# levels, sample law draw(rng, n, beta)), in the presets' canonical order
+PRESETS = {
+    "rational": (KernelDescriptor(Kind.RATIONAL, UNIT_DISK),
+                 tuple(0.9 * np.exp(2j * np.pi * np.array([0.2, 0.5, 0.8, 1.0]))),
+                 40, _SIGMAS, _annulus),
+    "spectral": (KernelDescriptor(Kind.RATIONAL, _PM1), (-0.9, -0.2, 0.2, 0.9),
+                 256, _SIGMAS, _matsubara),
+    "fourier": (KernelDescriptor(Kind.FOURIER, _PM1), (-0.9, 0.0, 0.5, 0.9),
+                128, _SIGMAS, _uniform(-5.0, 5.0)),
+    "laplace": (KernelDescriptor(Kind.LAPLACE, Domain("interval", 0.1, 2.1)), (0.2, 1.1, 1.6, 2.0),
+                100, (5e-2, 5e-3, 5e-4), _uniform(0.0, 10.0)),
+    "deconv": (KernelDescriptor(Kind.CAUCHY_SQUARED, _PM1), (-0.9, 0.0, 0.5, 0.9),
+               128, _SIGMAS, _uniform(-5.0, 5.0)),
+}
+PRESET_IDS = tuple(PRESETS)
+
+
+def preset_row(id: str, n_s: int | None = None, beta: float = DEFAULT_BETA) -> tuple:
+    """`PRESETS[id]` with its default n_s replaced by `n_s` if given.  Raises
+    UnknownPreset for an id not in the table, and ValueError for an `n_s`
+    not an integer >= n_x (ESPRIT needs n_x sample rows), an odd `n_s` on
+    spectral (its grid is +/- pairs) or a `beta` not finite and > 0."""
+    if id not in PRESET_IDS:  # a tuple, so an unhashable id is unknown too
+        raise UnknownPreset(f"unknown preset {id!r}")
+    kernel, locs, default_n_s, sigmas, draw = PRESETS[id]
+    n_s = default_n_s if n_s is None else n_s
+    if not (is_integer(n_s) and n_s >= len(locs)):
+        raise ValueError(f"n_s must be an integer >= {len(locs)} (n_x), not {n_s!r}")
+    if draw is _matsubara and n_s % 2:
+        raise ValueError(f"the spectral preset needs an even n_s, not {n_s!r}")
+    if not (is_real(beta) and 0 < beta < np.inf):
+        raise ValueError(f"beta must be finite and > 0, not {beta!r}")
+    return kernel, locs, n_s, sigmas, draw
+
+
+def generate_samples(
+    preset: str, rng_seed: int, beta: float = DEFAULT_BETA, n_s: int | None = None
+) -> SampleSet:
+    """Sample points drawn by the preset's law in `PRESETS`; the spectral
+    grid ignores the seed.  `preset_row` checks the arguments."""
+    _, _, n, _, draw = preset_row(preset, n_s, beta)
+    return SampleSet(draw(_rng(rng_seed, stream=0), n, beta))
 
 
 def synthesize(kernel: KernelDescriptor, signal: SpikeSignal, samples: SampleSet) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -20,6 +21,8 @@ from spikerec.cli import build_parser, main as cli_main
 from spikerec.errors import ConvergenceFailure, UnknownPreset
 from spikerec.kernels import PRESET_IDS, Observations, SampleSet
 from spikerec.experiments import emit_report
+
+NAN = float("nan")
 
 
 class TestLoadPreset:
@@ -55,11 +58,56 @@ class TestLoadPreset:
 
     @pytest.mark.parametrize("pid", PRESET_IDS)
     def test_default_n_s_has_one_owner(self, pid):
-        # kernels.PRESET_N_S: the sampler's default is the preset's
+        # kernels.PRESETS: the sampler's default is the preset's
         assert generate_samples(pid, 0).n_s == load_preset(pid).n_s
 
+    @pytest.mark.parametrize(
+        "pid, n_s, beta, bad",
+        [
+            ("bogus", None, 40.0, "bogus"),
+            (["fourier"], None, 40.0, ["fourier"]),
+            ("fourier", 3, 40.0, 3),
+            ("fourier", 64.0, 40.0, 64.0),
+            ("spectral", 7, 40.0, 7),
+            ("spectral", None, 0.0, 0.0),
+            ("laplace", None, NAN, NAN),
+        ],
+        ids=[
+            "unknown-id", "list-id", "n_s-below-n_x", "float-n_s", "odd-spectral-n_s",
+            "zero-beta", "nan-beta",
+        ],
+    )
+    def test_preset_rules_have_one_owner(self, pid, n_s, beta, bad):
+        # load_preset and generate_samples share kernels.preset_row's checks
+        errors = []
+        for build in (load_preset, lambda pid, *rest: generate_samples(pid, 0, *rest)):
+            with pytest.raises((UnknownPreset, ValueError)) as info:
+                build(pid, beta, n_s)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert repr(bad) in errors[0][1]
 
-NAN = float("nan")
+    # sha256 of preset.samples(seed).points for seeds 0, 1 and 7331, then
+    # preset.nodes().nodes and preset.truth.locations, taken before the
+    # presets moved into one table (NumPy 2.4.6); fourier and deconv share
+    # their law, domain and truth
+    SAMPLE_DIGESTS = {
+        "rational": "aebfd966732101d126a6f39e2fcb1891be0831fafca23be7c0a8631f1d52a461",
+        "spectral": "dc5b4fc0e2e5fdebc6ac298897a4872a1d2e84cf4631010627b6e58d5a361d2f",
+        "fourier": "9e165714c4487c49df931f40ff40d8f86529abf7fdbe33482474edba9ab451f0",
+        "laplace": "1078e94876007058114144745804b47a3098f78bbadd0d38ac38450333998bef",
+        "deconv": "9e165714c4487c49df931f40ff40d8f86529abf7fdbe33482474edba9ab451f0",
+    }
+
+    @pytest.mark.parametrize("pid", PRESET_IDS)
+    def test_sample_sets_are_pinned(self, pid):
+        p = load_preset(pid)
+        digest = hashlib.sha256()
+        for seed in (0, 1, 7331):
+            digest.update(p.samples(seed).points.tobytes())
+        digest.update(p.nodes().nodes.tobytes())
+        digest.update(p.truth.locations.tobytes())
+        assert digest.hexdigest() == self.SAMPLE_DIGESTS[pid]
 
 
 @pytest.mark.parametrize(

@@ -104,6 +104,13 @@ class TestGenerateSamples:
         with pytest.raises(UnknownPreset):
             generate_samples("bogus", 0)
 
+    @pytest.mark.parametrize("preset", ["rational", "spectral", "fourier", "laplace", "deconv"])
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf"), True])
+    def test_bad_beta(self, preset, beta):
+        # unchecked, beta = 0 gives nan+infj points with only a RuntimeWarning
+        with pytest.raises(ValueError, match=f"^beta must be finite and > 0, not {beta!r}$"):
+            generate_samples(preset, 0, beta=beta)
+
 
 class TestSynthesize:
     def test_single_spike(self):
