@@ -48,6 +48,12 @@ class ExperimentPreset:
     sigma_list: tuple
     beta: float  # Matsubara scale; only the spectral samples use it
 
+    def __post_init__(self):
+        # `samples` draws by `id`'s law in `PRESETS`, so it must be id's kernel
+        kernel = preset_row(self.id, self.n_s, self.beta)[0]
+        if self.kernel != kernel:
+            raise ValueError(f"preset {self.id!r} has kernel {kernel}, not {self.kernel}")
+
     def nodes(self) -> CollocationNodes:
         if self.kernel.domain.kind == "disk":
             return uniform_circle_nodes(self.n_a)

@@ -38,11 +38,11 @@ class SvdFactors:
 
     @cached_property
     def lcurve_table(self) -> tuple:
-        """(gamma grid, (3, LCURVE_GRID, r) `_filter_terms` stack) of the L-curve scan.
+        """(gamma grid, (2, LCURVE_GRID, r) `_filter_terms` table) of the L-curve scan.
 
-        Both depend on the singular values alone, so every rhs filtered by
-        these factors shares one read-only table, built on first use.  Rank
-        below 2 raises ValueError on every access; nothing is cached then.
+        Both depend on the singular values alone (Hansen 2010, ch. 5), so
+        every rhs filtered by these factors shares one read-only table, built
+        on first use.  Rank below 2 raises ValueError, caching nothing.
         """
         if self.rank < 2:
             raise ValueError("L-curve selection needs at least two singular values")
@@ -103,10 +103,13 @@ def truncated_pinv_apply(factors: SvdFactors, tol: float, rhs: np.ndarray) -> np
 
 
 def _project(factors: SvdFactors, rhs: np.ndarray) -> tuple:
-    """(U^H rhs, squared norm of rhs's part outside the range of U, ||rhs||)."""
+    """(U^H rhs, squared norm of rhs's part outside the range of U, ||rhs||);
+    ValueError for a rhs with a NaN or infinite entry."""
     rhs = as_float(rhs)
-    beta = factors.left.conj().T @ rhs
     norm = np.linalg.norm(rhs)
+    if not norm < np.inf:  # False for NaN
+        raise ValueError(f"rhs must be finite-valued, not of norm {norm}")
+    beta = factors.left.conj().T @ rhs
     perp_sq = max(float(norm**2 - np.linalg.norm(beta) ** 2), 0.0)
     return beta, perp_sq, norm
 
@@ -130,59 +133,48 @@ def tikhonov_solve(factors: SvdFactors, rhs: np.ndarray, gamma: float) -> Tikhon
     return TikhonovSolution(v=v, gamma=float(gamma), residual_norm=res, solution_norm=sol)
 
 
-def _filter_terms(gamma, s_sq):
-    """The (3, r) stack (d^2, d^3, d^4) at gamma, (3, grid, r) on a 1-D grid,
-    for d = 1 / (s^2 + gamma^2): the rhs-free basis `_curvature` weights.
-
-    The Tikhonov filter factors are f = s^2 d and 1 - f = gamma^2 d, so every
-    filter-factor product the curvature needs is a power of d times s^2k.
-    """
-    if isinstance(gamma, np.ndarray):
-        gamma = gamma[:, None]
-    d = 1.0 / (s_sq + gamma * gamma)
+def _filter_terms(grid, s_sq):
+    """The (2, grid, r) table (d^2, d^3) on a 1-D gamma grid, d = 1 / (s^2 +
+    gamma^2): with the filter factors f = s^2 d and 1 - f = gamma^2 d, the
+    rhs-free basis of the L-curve sums (P. C. Hansen, Discrete Inverse
+    Problems, SIAM 2010, ch. 5)."""
+    d = 1.0 / (s_sq + (grid * grid)[:, None])
     d2 = d * d
-    return np.array((d2, d2 * d, d2 * d2))
+    return np.array((d2, d2 * d))
 
 
-def _curvature(gamma, terms, weights, perp_sq):
-    """Negative curvature at gamma from a `_filter_terms` stack and the rhs's
-    (r, 3) weights (a, s^2 a, s^4 a), a = |U^H rhs|^2; `terms` is not
-    modified, so a shared table can be passed."""
-    # sums[m - 2, k] = S(k, m) = sum s^2k d^m a, a NumPy scalar at a scalar
-    # gamma: from here on 0/0 and overflow stay NaN/inf, and a scalar ** 1.5
-    # is libm pow (an array's may differ in the last bit).
-    sums = np.matmul(terms, weights).swapaxes(1, -1)
-    s13, s24, g_sq = sums[1, 1], sums[2, 2], gamma * gamma
-    eta_sq = sums[0, 1]
-    rho_sq = g_sq * g_sq * sums[0, 0]
-    phi = -2.0 * gamma * s13
-    psi = g_sq * phi
-    dphi = 4.0 * g_sq * sums[2, 1] + 6.0 * s13 - 8.0 * s24
-    dpsi = g_sq * (6.0 * s13 - 12.0 * s24)
-    eta = np.sqrt(eta_sq)
-    rho = np.sqrt(rho_sq + perp_sq)
-    deta = phi / eta
-    drho = -psi / rho
-    ddeta = dphi / eta - deta * (deta / eta)
-    ddrho = -dpsi / rho - drho * (drho / rho)
-    dlogeta = deta / eta
-    dlogrho = drho / rho
-    ddlogeta = ddeta / eta - dlogeta * dlogeta
-    ddlogrho = ddrho / rho - dlogrho * dlogrho
-    return -(dlogrho * ddlogeta - ddlogrho * dlogeta) / (
-        dlogrho * dlogrho + dlogeta * dlogeta
-    ) ** 1.5
+def _curvature(gamma, s02, s12, s13, perp_sq):
+    """Negative curvature of (log residual, log solution) at gamma, a grid or
+    a scalar, from the sums S(k, m) = sum s^2k d^m a, a = |U^H rhs|^2.
+
+    Hansen 2010, ch. 5, with eta = ||v||^2 = S(1, 2), rho = ||G v - rhs||^2 =
+    gamma^4 S(0, 2) + perp_sq and eta' = -4 gamma S(1, 3):
+        -kappa = 2 eta rho / eta' * (gamma^2 eta' rho + 2 gamma eta rho
+                 + gamma^4 eta eta') / (gamma^4 eta^2 + rho^2)^(3/2),
+    here with eta' cancelled from the outer terms.  NumPy-scalar sums keep
+    0/0 and overflow NaN/inf, and make a scalar ** 1.5 libm pow.
+    """
+    g_sq = gamma * gamma
+    rho = g_sq * g_sq * s02 + perp_sq
+    t = g_sq * s12
+    eta_rho = s12 * rho
+    return eta_rho * (2.0 * g_sq * (rho + t) - eta_rho / s13) / (t * t + rho * rho) ** 1.5
+
+
+def _grid_curvature(grid, terms, weights, perp_sq):
+    """`_curvature` on the grid of a `_filter_terms` table, left unmodified,
+    and the rhs's (r, 2) weights (a, s^2 a): one matmul."""
+    sums = terms @ weights  # sums[m - 2, :, k] = S(k, m)
+    return _curvature(grid, sums[0, :, 0], sums[0, :, 1], sums[1, :, 1], perp_sq)
 
 
 def _neg_curvature(gamma, s_sq, weights, perp_sq):
-    """Negative curvature of (log residual, log solution) at gamma.
-
-    Analytic first/second derivatives from the SVD expansion, following
-    Hansen's regularization-tools formulation, for real or complex data.
-    `s_sq` is s * s and `weights` the (r, 3) stack of `_curvature`.
-    A scalar `gamma` gives a float, a 1-D grid one value per gamma.
-    """
-    return _curvature(gamma, _filter_terms(gamma, s_sq), weights, perp_sq)
+    """`_curvature` at a scalar gamma from `s_sq` = s * s and the weights of
+    `_grid_curvature`: two small products, no table."""
+    d = 1.0 / (s_sq + gamma * gamma)
+    d2 = d * d
+    sums = d2 @ weights  # (S(0, 2), S(1, 2))
+    return _curvature(gamma, sums[0], sums[1], (d2 * d) @ weights[:, 1], perp_sq)
 
 
 _BRENT_CG = 0.3819660  # golden-section fraction, as in scipy.optimize.Brent
@@ -284,8 +276,8 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray) -> TikhonovSolution:
         )
     a = np.abs(beta) ** 2
     s_sq = s * s
-    weights = np.stack((a, s_sq * a, s_sq * s_sq * a), axis=1)
-    neg = _curvature(grid, terms, weights, perp_sq)
+    weights = np.stack((a, s_sq * a), axis=1)
+    neg = _grid_curvature(grid, terms, weights, perp_sq)
     idx = int(np.argmin(neg))
     flagged = idx == 0 or idx == grid.size - 1
     gamma = grid[idx]
@@ -296,18 +288,19 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray) -> TikhonovSolution:
     else:
         # the bracket's curvatures come from the grid pass, so Brent starts
         # without evaluating; argmin puts neg[idx] strictly below its left
-        # neighbour, and a tie on the right raises and keeps the grid point
-        lo, mid, hi = np.log(grid[idx - 1 : idx + 2])
+        # neighbour, and a tie on the right raises and keeps the grid point;
+        # Python floats give Brent the same IEEE arithmetic at less overhead
+        lo, mid, hi = np.log(grid[idx - 1 : idx + 2]).tolist()
 
         def objective(lg):
-            return _neg_curvature(float(np.exp(lg)), s_sq, weights, perp_sq)
+            return float(_neg_curvature(float(np.exp(lg)), s_sq, weights, perp_sq))
 
         try:
-            lg_opt = _brent(objective, lo, mid, hi, *neg[idx - 1 : idx + 2])
+            lg_opt = _brent(objective, lo, mid, hi, *neg[idx - 1 : idx + 2].tolist())
             gamma = float(np.exp(lg_opt))
         except ValueError:
             pass  # degenerate bracket: keep the grid point
-        gamma = float(np.clip(gamma, grid[0], grid[-1]))
+        gamma = min(max(float(gamma), float(grid[0])), float(grid[-1]))
     v, res, sol = _tikhonov_from_coeffs(factors, beta, perp_sq, gamma)
     return TikhonovSolution(
         v=v, gamma=gamma, residual_norm=res, solution_norm=sol, flagged=flagged

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -26,6 +27,15 @@ NAN = float("nan")
 
 
 class TestLoadPreset:
+    @pytest.mark.parametrize("pid, other", [("fourier", "laplace"), ("spectral", "rational")])
+    def test_kernel_belongs_to_id(self, pid, other):
+        # `samples` reads the sample law by id, so a preset relabelled to
+        # another id would sample by that id's law with its own kernel
+        with pytest.raises(ValueError, match="has kernel") as info:
+            dataclasses.replace(load_preset(pid), id=other)
+        assert str(load_preset(pid).kernel) in str(info.value)
+        assert str(load_preset(other).kernel) in str(info.value)
+
     @pytest.mark.parametrize("pid", ["rational", "spectral", "fourier", "laplace", "deconv"])
     def test_common_invariants(self, pid):
         p = load_preset(pid)
@@ -161,6 +171,18 @@ class TestRunOne:
         assert rec.location_error < 1.0
         assert rec.wall_time_ms > 0
         assert len(rec.locations) == 4
+
+    @pytest.mark.parametrize("method", [make_method("lcurve"), make_method("fixed-gamma", gamma=0.1)])
+    def test_nonfinite_observation_fails_at_tikhonov(self, method):
+        # a NaN in u fails the record where it is found, not with a NaN answer
+        p = load_preset("fourier")
+        samples = p.samples(0)
+        u = synthesize(p.kernel, p.truth, samples)
+        u[3] = NAN
+        prepared = PreparedSystem(p.kernel, samples, p.nodes())
+        rec = run_one(p, method, prepared, Observations(u, u, 0.0, 0))
+        assert rec.failed_stage == "tikhonov"
+        assert rec.error.startswith("ValueError: rhs must be finite")
 
     def test_failure_is_recorded_not_raised(self):
         p = load_preset("rational")

@@ -19,8 +19,8 @@ from spikerec.regularization import (
     LCURVE_GRID,
     SvdFactors,
     _brent,
-    _curvature,
     _filter_terms,
+    _grid_curvature,
     _neg_curvature,
     compute_svd,
     lcurve_gamma_grid,
@@ -111,6 +111,17 @@ class TestTikhonov:
     def test_gamma_must_be_finite_and_positive(self, gamma):
         with pytest.raises(ValueError):
             tikhonov_solve(compute_svd(np.eye(3)), np.ones(3), gamma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solve", [lambda f, b: tikhonov_solve(f, b, 0.1), lcurve_select])
+    def test_nonfinite_rhs_rejected(self, solve, bad):
+        # one non-finite entry would otherwise make every entry of v NaN
+        rng = np.random.default_rng(14)
+        f = compute_svd(random_complex(rng, (12, 5)))
+        b = random_complex(rng, 12)
+        b[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(f, b)
 
     def test_matches_dense_normal_equation(self):
         rng = np.random.default_rng(4)
@@ -250,7 +261,7 @@ class TestLcurve:
         grid, terms = factors.lcurve_table
         assert factors.lcurve_table is factors.lcurve_table
         assert not (grid.flags.writeable or terms.flags.writeable)
-        assert terms.shape == (3, LCURVE_GRID, factors.rank)
+        assert terms.shape == (2, LCURVE_GRID, factors.rank)
         assert grid.tobytes() == lcurve_gamma_grid(factors, LCURVE_GRID).tobytes()
         s = factors.singular_values
         assert terms.tobytes() == _filter_terms(grid, s * s).tobytes()
@@ -343,6 +354,21 @@ def neg_curvature_six_row(grid, s, abs_beta_sq, abs_xi_sq, perp_sq):
     ) ** 1.5
 
 
+def neg_curvature_long_double(grid, s, abs_beta_sq, perp_sq):
+    """The negative curvature in np.longdouble, rounded to double: the sums
+    S(k, m) = sum s^2k d^m |beta|^2 and Hansen's form (Discrete Inverse
+    Problems, SIAM 2010, ch. 5) with eta' kept as a factor."""
+    ld = np.longdouble
+    g = grid.astype(ld)
+    s_sq, a = s.astype(ld) ** 2, abs_beta_sq.astype(ld)
+    d = ld(1) / (s_sq + g[:, None] ** 2)
+    eta = (d * d * s_sq * a).sum(axis=1)
+    rho = g**4 * (d * d * a).sum(axis=1) + ld(perp_sq)
+    deta = -4 * g * (d**3 * s_sq * a).sum(axis=1)
+    kappa = (2 * eta * rho / deta) * (g**2 * deta * rho + 2 * g * eta * rho + g**4 * eta * deta)
+    return (kappa / (g**4 * eta**2 + rho**2) ** ld(1.5)).astype(float)
+
+
 def curvature_args(factors, rhs):
     """The loop reference's arguments and _neg_curvature's, for one system."""
     s = factors.singular_values
@@ -351,8 +377,14 @@ def curvature_args(factors, rhs):
     abs_beta_sq = np.abs(beta) ** 2
     abs_xi_sq = abs_beta_sq / s**2
     s_sq = s * s
-    weights = np.stack((abs_beta_sq, s_sq * abs_beta_sq, s_sq * s_sq * abs_beta_sq), axis=1)
+    weights = np.stack((abs_beta_sq, s_sq * abs_beta_sq), axis=1)
     return (s, abs_beta_sq, abs_xi_sq, perp_sq), (s_sq, weights, perp_sq)
+
+
+def grid_curvature(grid, s_sq, weights, perp_sq):
+    """_grid_curvature on a table built for this grid: the grid counterpart
+    of _neg_curvature, taking the same arguments."""
+    return _grid_curvature(grid, _filter_terms(grid, s_sq), weights, perp_sq)
 
 
 @pytest.fixture(scope="module")
@@ -375,22 +407,27 @@ def curvature_cases():
 
 
 class TestNegCurvature:
-    # The three-row basis sums s^2k d^m |beta|^2 and combines the sums, where
-    # the loop sums filter-factor products, so the two differ in round-off.
-    # Pointwise, where the curvature nears zero, the gap on these four cases
-    # is up to 8.4e-13; scaled by max|kappa| over the grid it is at most
-    # 3.1e-14 on the 15 seed-0 benchmark cells.
-    RTOL = 1e-12
+    # The closed form sums s^2k d^m |beta|^2 and combines the sums, where the
+    # loop sums filter-factor products, so the two differ in round-off.
+    # Pointwise, where the curvature nears zero, the relative gap reaches
+    # 2e-12 (9.8e-17 absolute at |kappa| = 4.7e-5), so every comparison is
+    # scaled by max|kappa| over the grid.
     SCALED_TOL = 1e-12  # of max|kappa| over the LCURVE_GRID grid
+    # ulps of max|kappa| against the long-double reference; the worst over
+    # 2000 random spectra drawn as below is 14.5 for the closed form (grid
+    # and scalar), 19.5 with eta' uncancelled and 27.6 for the three-row
+    # derivative chain it replaced
+    ULPS = 20
 
     @pytest.mark.parametrize("case", range(4))
     def test_grid_matches_loop(self, curvature_cases, case):
         factors, rhs = curvature_cases[case]
         ref_args, args = curvature_args(factors, rhs)
         grid = lcurve_gamma_grid(factors, 200)
-        got = _neg_curvature(grid, *args)
+        got = grid_curvature(grid, *args)
+        want = neg_curvature_loop(grid, *ref_args)
         assert got.shape == grid.shape
-        np.testing.assert_allclose(got, neg_curvature_loop(grid, *ref_args), rtol=self.RTOL)
+        assert np.max(np.abs(got - want)) <= self.SCALED_TOL * np.max(np.abs(want))
 
     @pytest.mark.parametrize("case", range(4))
     def test_scalar_matches_loop(self, curvature_cases, case):
@@ -428,15 +465,42 @@ class TestNegCurvature:
         grid = lcurve_gamma_grid(factors, LCURVE_GRID)
         want = neg_curvature_six_row(grid, *ref_args)
         tol = self.SCALED_TOL * np.max(np.abs(want))
-        assert np.max(np.abs(_neg_curvature(grid, *args) - want)) <= tol
+        assert np.max(np.abs(grid_curvature(grid, *args) - want)) <= tol
         for g, k in zip(grid[::20], want[::20]):
+            assert abs(_neg_curvature(float(g), *args) - k) <= tol
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(2, 40),
+        log_floor=st.floats(-14.0, -1.0),
+        noise=st.floats(1e-6, 0.5),
+        real=st.booleans(),
+    )
+    def test_closed_form_within_ulps_of_long_double(self, seed, rank, log_floor, noise, real):
+        # the closed form in double lies within a few ulps of max|kappa| of
+        # Hansen's form, eta' uncancelled, evaluated in extended precision
+        rng = np.random.default_rng(seed)
+        sigmas = np.sort(10.0 ** rng.uniform(log_floor, 0.0, rank))[::-1]
+        A = matrix_with_spectrum(rng, rank + 8, rank, sigmas)
+        b = A @ random_complex(rng, rank)
+        b = b + noise * np.linalg.norm(b) / np.sqrt(b.size) * random_complex(rng, b.size)
+        if real:
+            A, b = A.real, b.real
+        factors = compute_svd(A)
+        (s, a, _, perp_sq), args = curvature_args(factors, b)
+        grid = lcurve_gamma_grid(factors, LCURVE_GRID)
+        want = neg_curvature_long_double(grid, s, a, perp_sq)
+        tol = self.ULPS * np.finfo(float).eps * np.max(np.abs(want))
+        assert np.max(np.abs(grid_curvature(grid, *args) - want)) <= tol
+        for g, k in zip(grid[::10], want[::10]):
             assert abs(_neg_curvature(float(g), *args) - k) <= tol
 
 
 @pytest.mark.parametrize("preset_id", PRESET_IDS)
 def test_shared_table_curvature_bitwise(preset_id):
     # one table per system serves every rhs: the same bits as the grid
-    # evaluation that builds the three-row stack per rhs, table untouched
+    # evaluation that builds the two-row table per rhs, table untouched
     preset = load_preset(preset_id)
     samples = preset.samples(0)
     factors = spikerec.eigenmatrix.PreparedSystem(preset.kernel, samples, preset.nodes()).factors
@@ -446,8 +510,8 @@ def test_shared_table_curvature_bitwise(preset_id):
     u = synthesize(preset.kernel, preset.truth, samples)
     for sigma in preset.sigma_list:
         _, args = curvature_args(factors, add_noise(u, sigma, 0).noisy)
-        got = _curvature(grid, terms, *args[1:])
-        assert got.tobytes() == _neg_curvature(grid, *args).tobytes()
+        got = _grid_curvature(grid, terms, *args[1:])
+        assert got.tobytes() == grid_curvature(grid, *args).tobytes()
     assert terms.tobytes() == before.tobytes()
 
 
@@ -489,7 +553,7 @@ class TestGolden:
         factors, rhs = curvature_cases[case]
         _, args = curvature_args(factors, rhs)
         log_grid = np.log(lcurve_gamma_grid(factors, 200))
-        neg = _neg_curvature(np.exp(log_grid), *args)
+        neg = grid_curvature(np.exp(log_grid), *args)
         idx = int(np.argmin(neg))
         assert 0 < idx < log_grid.size - 1
         brack = (log_grid[idx - 1], log_grid[idx], log_grid[idx + 1])
@@ -502,6 +566,31 @@ class TestGolden:
         bracket_values = [objective(x) for x in brack]
         assert _brent(ours, *brack, *bracket_values) == brent(theirs, brack=brack)
         assert len(our_calls) == len(their_calls) - 3
+
+    @pytest.mark.parametrize("preset_id", PRESET_IDS)
+    def test_python_floats_bitwise_numpy_scalars(self, preset_id):
+        # lcurve_select hands _brent Python floats; IEEE double arithmetic is
+        # the same on NumPy float64 scalars, so on each seed-0 L-curve
+        # objective every evaluated point and the minimizer keep their bits
+        preset = load_preset(preset_id)
+        samples = preset.samples(0)
+        factors = spikerec.eigenmatrix.PreparedSystem(preset.kernel, samples, preset.nodes()).factors
+        grid, terms = factors.lcurve_table
+        u = synthesize(preset.kernel, preset.truth, samples)
+        for sigma in preset.sigma_list:
+            _, args = curvature_args(factors, add_noise(u, sigma, 0).noisy)
+            neg = _grid_curvature(grid, terms, *args[1:])
+            idx = int(np.argmin(neg))
+            brack = np.log(grid[idx - 1 : idx + 2])
+            numpy_obj, numpy_calls = counted(lambda lg: _neg_curvature(np.exp(lg), *args))
+            float_obj, float_calls = counted(
+                lambda lg: float(_neg_curvature(float(np.exp(lg)), *args))
+            )
+            got_numpy = _brent(numpy_obj, *brack, *neg[idx - 1 : idx + 2])
+            got_float = _brent(float_obj, *brack.tolist(), *neg[idx - 1 : idx + 2].tolist())
+            assert type(got_numpy) is np.float64 and type(got_float) is float
+            assert got_float.hex() == float(got_numpy).hex()
+            assert [x.hex() for x in float_calls] == [float(x).hex() for x in numpy_calls]
 
     @pytest.mark.parametrize("brack", [(0.0, 2.0, 1.0), (2.0, 0.5, -1.0), (0.0, 0.0, 1.0), (1.5, 2.0, 3.0)])
     def test_non_bracketing_triple_rejected(self, brack):
@@ -553,6 +642,38 @@ def one_thread_corners():
 # in the L-curve, and fails here, not only in the byte-compared oracle
 # reports.
 PINNED_CORNERS = {
+    "rational": (
+        ("0x1.56be084e2e774p-9", "-0x1.659e6bc9942c5p+3"),
+        ("0x1.ed5e625b8c0ddp-6", "-0x1.6f1efd32bc209p+3"),
+        ("0x1.3a1ae5c0ee7ddp-2", "-0x1.2d74a8106d62dp+2"),
+    ),
+    "spectral": (
+        ("0x1.8eacce4f0a48cp-10", "-0x1.827dd21920d0dp+3"),
+        ("0x1.03f9345c657e6p-6", "-0x1.57435faa41eacp+2"),
+        ("0x1.0051f52031a8ep-2", "-0x1.9d225d4200117p+1"),
+    ),
+    "fourier": (
+        ("0x1.bd86e6f0869d1p-10", "-0x1.bbad6172cc586p+4"),
+        ("0x1.73d2234ab3674p-7", "-0x1.1f22bf3034a92p+8"),
+        ("0x1.b4e17115ccecfp-4", "-0x1.389695db7a769p+4"),
+    ),
+    "laplace": (
+        ("0x1.8500d7bcd6984p-11", "-0x1.f90316fa2f45cp+7"),
+        ("0x1.c18c9625c3722p-8", "-0x1.4a198a0f82cedp+5"),
+        ("0x1.0e70b590c41c6p-3", "-0x1.e1e5b2cb60deap+2"),
+    ),
+    "deconv": (
+        ("0x1.a7b5a4cc10b57p-10", "-0x1.86acef8789b37p+2"),
+        ("0x1.418856d624187p-5", "-0x1.2fb6ab89270a2p+2"),
+        ("0x1.9fe43ae29c6a1p-2", "-0x1.68d5608ba781dp+3"),
+    ),
+}
+
+# The same corners before the curvature moved to the closed form on the
+# two-row (d^2, d^3) table (a (3, grid, r) table and the derivative chain of
+# log eta and log rho), on one BLAS thread; the closed-form corners agree with
+# them within the numerical contract (tools/oracle.py --rtol).
+PINNED_CORNERS_THREE_ROW = {
     "rational": (
         ("0x1.56be084e307bbp-9", "-0x1.659e6bc9942c4p+3"),
         ("0x1.ed5e625b8c0c2p-6", "-0x1.6f1efd32bc207p+3"),
@@ -702,6 +823,11 @@ def test_real_corners_within_contract_of_complex(preset_id):
 @pytest.mark.parametrize("preset_id", sorted(PINNED_CORNERS))
 def test_three_row_corners_within_contract_of_six_row(preset_id):
     _assert_corners_within_contract(PINNED_CORNERS[preset_id], PINNED_CORNERS_SIX_ROW[preset_id])
+
+
+@pytest.mark.parametrize("preset_id", sorted(PINNED_CORNERS))
+def test_closed_form_corners_within_contract_of_three_row(preset_id):
+    _assert_corners_within_contract(PINNED_CORNERS[preset_id], PINNED_CORNERS_THREE_ROW[preset_id])
 
 
 def test_import_leaves_scipy_optimize_unloaded():
