@@ -114,27 +114,21 @@ class RecoveryResult:
     svd_gap: float
 
 
-def build_eigenmatrix(
-    system: CollocationSystem, tol: float, factors: SvdFactors | None = None
-) -> np.ndarray:
+def build_eigenmatrix(system: CollocationSystem, tol: float, factors: SvdFactors) -> np.ndarray:
     """The n_s x n_s matrix M = G-hat Lambda G-hat^dagger, with the
-    pseudo-inverse truncated at tol.
-
-    `factors` is the SVD of `system.normalized` when the caller has it
-    already; it is computed here otherwise.
-    """
-    if factors is None:
-        factors = compute_svd(system.normalized)
+    pseudo-inverse truncated at tol; `factors` is the SVD of `system.normalized`."""
     left, s, right = truncate(factors, tol)
     pinv = (right / s) @ left.conj().T
     return system.normalized @ (system.nodes[:, None] * pinv)
 
 
 def krylov_original(M: np.ndarray, u_noisy: np.ndarray, l: int) -> np.ndarray:
-    """A = [u, M u, ..., M^l u] by repeated matrix-vector products."""
+    """A = [u, M u, ..., M^l u] by repeated matrix-vector products; u must be finite."""
     if l < 1:
         raise ValueError("l must be >= 1")
     cols = [as_float(u_noisy)]
+    if not np.isfinite(cols[0]).all():
+        raise ValueError("u must be finite-valued")
     for _ in range(l):
         cols.append(M @ cols[-1])
     return np.column_stack(cols)
@@ -170,7 +164,10 @@ def esprit_extract(A: np.ndarray, n_x: int) -> tuple:
     A = as_float(A)
     if A.shape[0] < n_x or A.shape[1] < n_x + 1:
         raise ValueError("A too small for the requested model order")
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    try:
+        _, s, vh = np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # a NaN in A
+        raise RankDeficient(f"SVD of A failed: {exc}") from exc
     if not s[n_x - 1] > RANK_TOL * s[0]:
         raise RankDeficient(f"sigma_{n_x}(A) = {s[n_x - 1]:.3e} below {RANK_TOL:g} * sigma_1")
     v_star = vh[:n_x, :]
@@ -194,16 +191,12 @@ def recover_weights(
 ) -> np.ndarray:
     """Minimum-norm least squares for the weights at the recovered locations."""
     design = eval_kernel(kernel, samples.points[:, None], as_float(locations)[None, :])
-    factors = compute_svd_or_degenerate(design)
-    tol = WEIGHT_PINV_TOL * factors.singular_values[0]
-    return truncated_pinv_apply(factors, tol, as_float(u_noisy))
-
-
-def compute_svd_or_degenerate(design: np.ndarray):
     try:
-        return compute_svd(design)
+        factors = compute_svd(design)
     except (ConvergenceFailure, ValueError) as exc:
         raise DegenerateDesign("weight design matrix has no usable spectrum") from exc
+    tol = WEIGHT_PINV_TOL * factors.singular_values[0]
+    return truncated_pinv_apply(factors, tol, as_float(u_noisy))
 
 
 def _project_locations(kernel: KernelDescriptor, raw: np.ndarray) -> np.ndarray:

@@ -46,8 +46,8 @@ class SvdFactors:
         """
         if self.rank < 2:
             raise ValueError("L-curve selection needs at least two singular values")
-        grid = lcurve_gamma_grid(self, LCURVE_GRID)
         s = self.singular_values
+        grid = np.geomspace(max(s[-1], LCURVE_FLOOR * s[0]), s[0], LCURVE_GRID)
         table = grid, _filter_terms(grid, s * s)
         for a in table:
             a.setflags(write=False)  # a shared table must stay as built
@@ -114,14 +114,20 @@ def _project(factors: SvdFactors, rhs: np.ndarray) -> tuple:
     return beta, perp_sq, norm
 
 
-def _tikhonov_from_coeffs(factors, beta, perp_sq, gamma):
+def _solution(factors, beta, a, perp_sq, gamma, flagged=False):
+    """The Tikhonov solution at gamma from beta = U^H rhs, a = |beta|^2 and
+    perp_sq, its residual and solution norms straight from the SVD expansion."""
     s = factors.singular_values
-    filt = s / (s**2 + gamma**2)
-    v = factors.right @ (filt * beta)
-    # residual and solution norms straight from the SVD expansion
-    res_sq = np.sum((gamma**2 / (s**2 + gamma**2)) ** 2 * np.abs(beta) ** 2) + perp_sq
-    sol = float(np.linalg.norm(filt * beta))
-    return v, float(np.sqrt(max(res_sq, 0.0))), sol
+    den = s * s + gamma**2
+    coef = s / den * beta
+    res_sq = np.sum((gamma**2 / den) ** 2 * a) + perp_sq
+    return TikhonovSolution(
+        v=factors.right @ coef,
+        gamma=float(gamma),
+        residual_norm=float(np.sqrt(max(res_sq, 0.0))),
+        solution_norm=float(np.linalg.norm(coef)),
+        flagged=flagged,
+    )
 
 
 def tikhonov_solve(factors: SvdFactors, rhs: np.ndarray, gamma: float) -> TikhonovSolution:
@@ -129,8 +135,7 @@ def tikhonov_solve(factors: SvdFactors, rhs: np.ndarray, gamma: float) -> Tikhon
     if not 0 < gamma < np.inf:  # False for NaN
         raise ValueError("gamma must be finite and positive")
     beta, perp_sq, _ = _project(factors, rhs)
-    v, res, sol = _tikhonov_from_coeffs(factors, beta, perp_sq, gamma)
-    return TikhonovSolution(v=v, gamma=float(gamma), residual_norm=res, solution_norm=sol)
+    return _solution(factors, beta, np.abs(beta) ** 2, perp_sq, gamma)
 
 
 def _filter_terms(grid, s_sq):
@@ -247,12 +252,6 @@ def _brent(func, xa, xb, xc, fa, fb, fc):
     return x
 
 
-def lcurve_gamma_grid(factors: SvdFactors, n: int) -> np.ndarray:
-    s = factors.singular_values
-    lo = max(s[-1], LCURVE_FLOOR * s[0])
-    return np.geomspace(lo, s[0], n)
-
-
 def lcurve_select(factors: SvdFactors, rhs: np.ndarray) -> TikhonovSolution:
     """Tikhonov solution at the maximum-curvature corner of the L-curve.
 
@@ -268,13 +267,9 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray) -> TikhonovSolution:
     grid, terms = factors.lcurve_table
     beta, perp_sq, norm = _project(factors, rhs)
     s = factors.singular_values
-    if norm == 0.0:
-        # degenerate rhs: curvature is 0/0 everywhere
-        zero = np.zeros(factors.right.shape[0], beta.dtype)
-        return TikhonovSolution(
-            v=zero, gamma=float(s[0]), residual_norm=0.0, solution_norm=0.0, flagged=True
-        )
     a = np.abs(beta) ** 2
+    if norm == 0.0:  # degenerate rhs: curvature is 0/0 everywhere
+        return _solution(factors, beta, a, perp_sq, s[0], flagged=True)
     s_sq = s * s
     weights = np.stack((a, s_sq * a), axis=1)
     neg = _grid_curvature(grid, terms, weights, perp_sq)
@@ -301,7 +296,4 @@ def lcurve_select(factors: SvdFactors, rhs: np.ndarray) -> TikhonovSolution:
         except ValueError:
             pass  # degenerate bracket: keep the grid point
         gamma = min(max(float(gamma), float(grid[0])), float(grid[-1]))
-    v, res, sol = _tikhonov_from_coeffs(factors, beta, perp_sq, gamma)
-    return TikhonovSolution(
-        v=v, gamma=gamma, residual_norm=res, solution_norm=sol, flagged=flagged
-    )
+    return _solution(factors, beta, a, perp_sq, gamma, flagged)

@@ -13,6 +13,7 @@ from spikerec import (
     add_noise,
     build_collocation_system,
     build_eigenmatrix,
+    compute_svd,
     esprit_extract,
     krylov_original,
     krylov_regularized,
@@ -22,7 +23,6 @@ from spikerec import (
     uniform_circle_nodes,
 )
 from spikerec import eigenmatrix, make_method
-from spikerec.eigenmatrix import compute_svd_or_degenerate
 from spikerec.errors import (
     AllTruncated, DegenerateDesign, DomainError, IllConditionedShiftWarning, RankDeficient
 )
@@ -47,27 +47,27 @@ class TestBuildEigenmatrix:
         rng = np.random.default_rng(0)
         nodes = np.array([0.3, -0.7, 0.1 + 0.5j, 1.2, -0.4j])
         sys_ = unitary_system(rng, 5, nodes)
-        M = build_eigenmatrix(sys_, 1e-8)
+        M = build_eigenmatrix(sys_, 1e-8, compute_svd(sys_.normalized))
         ev = np.sort_complex(np.linalg.eigvals(M))
         np.testing.assert_allclose(ev, np.sort_complex(nodes), atol=1e-12)
 
     def test_rank_one(self):
         q = np.array([[0.6], [0.8]], dtype=complex)
         sys_ = CollocationSystem(normalized=q, nodes=np.array([2.0 + 0j]))
-        M = build_eigenmatrix(sys_, 1e-8)
+        M = build_eigenmatrix(sys_, 1e-8, compute_svd(sys_.normalized))
         np.testing.assert_allclose(M, 2.0 * q @ q.conj().T, atol=1e-14)
 
     def test_all_truncated(self):
         rng = np.random.default_rng(1)
         sys_ = unitary_system(rng, 3, [0.1, 0.2, 0.3])
         with pytest.raises(AllTruncated):
-            build_eigenmatrix(sys_, 10.0)
+            build_eigenmatrix(sys_, 10.0, compute_svd(sys_.normalized))
 
     def test_bad_tol(self):
         rng = np.random.default_rng(2)
         sys_ = unitary_system(rng, 3, [0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
-            build_eigenmatrix(sys_, 0.0)
+            build_eigenmatrix(sys_, 0.0, compute_svd(sys_.normalized))
 
     def test_near_diagonalization_on_disk_benchmark(self):
         # the operator should nearly satisfy M G-hat = G-hat Lambda
@@ -77,7 +77,7 @@ class TestBuildEigenmatrix:
         )
         for tol_factor, bound in ((1e-4, 1e-3), (1e-8, 1e-5)):
             tol = tol_factor * np.linalg.norm(system.normalized, "fro")
-            M = build_eigenmatrix(system, tol)
+            M = build_eigenmatrix(system, tol, compute_svd(system.normalized))
             resid = np.linalg.norm(
                 M @ system.normalized - system.normalized * system.nodes,
                 "fro",
@@ -89,7 +89,7 @@ class TestKrylov:
     def test_original_trivial_l1(self):
         rng = np.random.default_rng(3)
         sys_ = unitary_system(rng, 4, [0.1, 0.2, 0.3, 0.4])
-        M = build_eigenmatrix(sys_, 1e-8)
+        M = build_eigenmatrix(sys_, 1e-8, compute_svd(sys_.normalized))
         u = random_complex(rng, 4)
         A = krylov_original(M, u, 1)
         assert A.shape == (4, 2)
@@ -105,11 +105,18 @@ class TestKrylov:
     def test_original_recurrence(self):
         rng = np.random.default_rng(4)
         sys_ = unitary_system(rng, 6, rng.uniform(-1, 1, 6))
-        M = build_eigenmatrix(sys_, 1e-8)
+        M = build_eigenmatrix(sys_, 1e-8, compute_svd(sys_.normalized))
         u = random_complex(rng, 6)
         A = krylov_original(M, u, 5)
         for k in range(1, 6):
             np.testing.assert_allclose(A[:, k], M @ A[:, k - 1], rtol=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_original_nonfinite_u(self, bad):
+        u = np.arange(1.0, 6.0)
+        u[3] = bad
+        with pytest.raises(ValueError, match="u must be finite"):
+            krylov_original(np.eye(5), u, 2)
 
     def test_regularized_zero_v(self):
         rng = np.random.default_rng(5)
@@ -151,7 +158,7 @@ class TestKrylov:
         sys_ = CollocationSystem(normalized=B, nodes=nodes)
         v = random_complex(rng, 6)
         u = B @ v
-        M = build_eigenmatrix(sys_, 1e-10)
+        M = build_eigenmatrix(sys_, 1e-10, compute_svd(sys_.normalized))
         A1 = krylov_original(M, u, 5)
         A2 = krylov_regularized(sys_, v, u, 5)
         np.testing.assert_allclose(A1, A2, rtol=1e-9, atol=1e-12)
@@ -192,6 +199,16 @@ class TestEsprit:
     def test_too_small(self):
         with pytest.raises(ValueError):
             esprit_extract(np.ones((2, 3)), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_is_rank_deficient(self, bad):
+        # a NaN stops LAPACK's SVD, an inf gives NaN singular values: both
+        # are the RankDeficient of the docstring, not a LinAlgError
+        rng = np.random.default_rng(13)
+        A = random_complex(rng, (8, 4))
+        A[2, 1] = bad
+        with pytest.raises(RankDeficient):
+            esprit_extract(A, 2)
 
     def test_diagnostics(self):
         rng = np.random.default_rng(11)
@@ -241,14 +258,27 @@ class TestRecoverWeights:
         w = recover_weights(self.KERNEL, samples, np.array([0.0]), np.array([3.0]))
         assert w[0] == pytest.approx(6.0)
 
-    @pytest.mark.parametrize("design", [np.zeros((3, 2)), np.array([[np.nan, 1.0]])])
+    @pytest.mark.parametrize(
+        "design",
+        [
+            (KERNEL, [np.nan, 0.5]),  # a NaN column
+            (load_preset("laplace").kernel, [0.0]),  # x exp(-s x) is 0 at x = 0
+        ],
+    )
     def test_unusable_design_is_degenerate(self, design):
+        kernel, locations = design
+        samples = SampleSet(np.array([1.5, 2.0, 3.0]))
         with pytest.raises(DegenerateDesign):
-            compute_svd_or_degenerate(design)
+            recover_weights(kernel, samples, np.array(locations), np.ones(3))
 
-    def test_programming_error_propagates(self):
-        with pytest.raises(TypeError):
-            compute_svd_or_degenerate(object())
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(design):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(eigenmatrix, "compute_svd", broken)
+        samples = SampleSet(np.array([2.0, 3.0, 4.0]))
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            recover_weights(self.KERNEL, samples, np.array([0.5]), np.ones(3))
 
 
 class TestRecoverPipeline:

@@ -19,7 +19,7 @@ from spikerec import (
 )
 from spikerec import MethodConfig, Variant, cli, eigenmatrix, experiments, generate_samples
 from spikerec.cli import build_parser, main as cli_main
-from spikerec.errors import ConvergenceFailure, UnknownPreset
+from spikerec.errors import ConvergenceFailure, FlatCurveWarning, UnknownPreset
 from spikerec.kernels import PRESET_IDS, Observations, SampleSet
 from spikerec.experiments import emit_report
 
@@ -172,17 +172,26 @@ class TestRunOne:
         assert rec.wall_time_ms > 0
         assert len(rec.locations) == 4
 
-    @pytest.mark.parametrize("method", [make_method("lcurve"), make_method("fixed-gamma", gamma=0.1)])
+    @pytest.mark.parametrize(
+        "method",
+        [
+            (make_method("lcurve"), "tikhonov", "rhs must be finite"),
+            (make_method("fixed-gamma", gamma=0.1), "tikhonov", "rhs must be finite"),
+            (make_method("pinv"), "krylov", "u must be finite"),
+        ],
+    )
     def test_nonfinite_observation_fails_at_tikhonov(self, method):
-        # a NaN in u fails the record where it is found, not with a NaN answer
+        # a NaN in u fails the record at the stage that first reads u (pinv's
+        # Krylov builder), not with a NaN answer or a LinAlgError in ESPRIT
+        config, stage, message = method
         p = load_preset("fourier")
         samples = p.samples(0)
         u = synthesize(p.kernel, p.truth, samples)
         u[3] = NAN
         prepared = PreparedSystem(p.kernel, samples, p.nodes())
-        rec = run_one(p, method, prepared, Observations(u, u, 0.0, 0))
-        assert rec.failed_stage == "tikhonov"
-        assert rec.error.startswith("ValueError: rhs must be finite")
+        rec = run_one(p, config, prepared, Observations(u, u, 0.0, 0))
+        assert rec.failed_stage == stage
+        assert rec.error.startswith(f"ValueError: {message}")
 
     def test_failure_is_recorded_not_raised(self):
         p = load_preset("rational")
@@ -792,7 +801,9 @@ class TestCli:
             "--seeds", "1", "--sigma", "0.01", "--config", str(cfg),
             "--out", str(tmp_path / "out"),
         ]
-        assert cli_main(argv) == 0
+        # with n_s = 4 or n_a = 4 the L-curve has no interior corner
+        with pytest.warns(FlatCurveWarning):
+            assert cli_main(argv) == 0
 
     @pytest.mark.parametrize(
         "flags, config, code",

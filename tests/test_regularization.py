@@ -16,6 +16,7 @@ from spikerec.errors import AllTruncated, FlatCurveWarning
 from spikerec.experiments import load_preset, make_method, run_sweep
 from spikerec.kernels import PRESET_IDS, add_noise, build_collocation_system, synthesize
 from spikerec.regularization import (
+    LCURVE_FLOOR,
     LCURVE_GRID,
     SvdFactors,
     _brent,
@@ -23,7 +24,6 @@ from spikerec.regularization import (
     _grid_curvature,
     _neg_curvature,
     compute_svd,
-    lcurve_gamma_grid,
     lcurve_select,
     tikhonov_solve,
     truncated_pinv_apply,
@@ -181,6 +181,12 @@ class TestTikhonov:
             assert objective(sol.v + h * p) > base
 
 
+def documented_grid(factors):
+    """lcurve_select's scan grid as its docstring states it."""
+    s = factors.singular_values
+    return np.geomspace(max(s[-1], LCURVE_FLOOR * s[0]), s[0], LCURVE_GRID)
+
+
 class TestLcurve:
     def test_gamma_within_grid_bounds(self):
         rng = np.random.default_rng(9)
@@ -189,7 +195,7 @@ class TestLcurve:
         b = A @ random_complex(rng, 10)
         b *= 1 + 0.05 * rng.standard_normal(30)
         sol = lcurve_select(f, b)
-        grid = lcurve_gamma_grid(f, 200)
+        grid = f.lcurve_table[0]
         assert grid[0] <= sol.gamma <= grid[-1]
 
     def test_close_to_discrepancy_principle(self):
@@ -241,6 +247,7 @@ class TestLcurve:
         assert sol.flagged
         assert sol.gamma == pytest.approx(f.singular_values[0])
         np.testing.assert_array_equal(sol.v, 0)
+        assert sol.residual_norm == 0.0 and sol.solution_norm == 0.0
 
     def test_rank_one_raises_every_time(self):
         # a table build that fails is not cached: each access raises anew
@@ -262,7 +269,7 @@ class TestLcurve:
         assert factors.lcurve_table is factors.lcurve_table
         assert not (grid.flags.writeable or terms.flags.writeable)
         assert terms.shape == (2, LCURVE_GRID, factors.rank)
-        assert grid.tobytes() == lcurve_gamma_grid(factors, LCURVE_GRID).tobytes()
+        assert grid.tobytes() == documented_grid(factors).tobytes()
         s = factors.singular_values
         assert terms.tobytes() == _filter_terms(grid, s * s).tobytes()
         shared = lcurve_select(factors, rhs)
@@ -270,6 +277,11 @@ class TestLcurve:
         assert own.v.tobytes() == shared.v.tobytes()
         assert own.residual_norm == shared.residual_norm
         assert own.solution_norm == shared.solution_norm
+        # the corner's solution is the fixed-gamma solution at its gamma
+        fixed = tikhonov_solve(factors, rhs, shared.gamma)
+        assert fixed.v.tobytes() == shared.v.tobytes()
+        assert fixed.residual_norm == shared.residual_norm
+        assert fixed.solution_norm == shared.solution_norm
 
 
 def test_one_table_build_per_factors(monkeypatch):
@@ -423,7 +435,7 @@ class TestNegCurvature:
     def test_grid_matches_loop(self, curvature_cases, case):
         factors, rhs = curvature_cases[case]
         ref_args, args = curvature_args(factors, rhs)
-        grid = lcurve_gamma_grid(factors, 200)
+        grid = factors.lcurve_table[0]
         got = grid_curvature(grid, *args)
         want = neg_curvature_loop(grid, *ref_args)
         assert got.shape == grid.shape
@@ -434,9 +446,9 @@ class TestNegCurvature:
         # the Brent refinement's scalar path, against the loop at 37 points
         factors, rhs = curvature_cases[case]
         ref_args, args = curvature_args(factors, rhs)
-        grid = lcurve_gamma_grid(factors, LCURVE_GRID)
+        grid = factors.lcurve_table[0]
         scale = np.max(np.abs(neg_curvature_loop(grid, *ref_args)))
-        for g in lcurve_gamma_grid(factors, 37):
+        for g in np.geomspace(grid[0], grid[-1], 37):
             got = _neg_curvature(g, *args)
             assert isinstance(got, float)
             assert abs(got - neg_curvature_loop(g, *ref_args)) <= self.SCALED_TOL * scale
@@ -462,7 +474,7 @@ class TestNegCurvature:
             A, b = A.real, b.real
         factors = compute_svd(A)
         ref_args, args = curvature_args(factors, b)
-        grid = lcurve_gamma_grid(factors, LCURVE_GRID)
+        grid = factors.lcurve_table[0]
         want = neg_curvature_six_row(grid, *ref_args)
         tol = self.SCALED_TOL * np.max(np.abs(want))
         assert np.max(np.abs(grid_curvature(grid, *args) - want)) <= tol
@@ -489,7 +501,7 @@ class TestNegCurvature:
             A, b = A.real, b.real
         factors = compute_svd(A)
         (s, a, _, perp_sq), args = curvature_args(factors, b)
-        grid = lcurve_gamma_grid(factors, LCURVE_GRID)
+        grid = factors.lcurve_table[0]
         want = neg_curvature_long_double(grid, s, a, perp_sq)
         tol = self.ULPS * np.finfo(float).eps * np.max(np.abs(want))
         assert np.max(np.abs(grid_curvature(grid, *args) - want)) <= tol
@@ -505,7 +517,7 @@ def test_shared_table_curvature_bitwise(preset_id):
     samples = preset.samples(0)
     factors = spikerec.eigenmatrix.PreparedSystem(preset.kernel, samples, preset.nodes()).factors
     grid, terms = factors.lcurve_table
-    assert grid.tobytes() == lcurve_gamma_grid(factors, 200).tobytes()
+    assert grid.tobytes() == documented_grid(factors).tobytes()
     before = terms.copy()
     u = synthesize(preset.kernel, preset.truth, samples)
     for sigma in preset.sigma_list:
@@ -552,7 +564,7 @@ class TestGolden:
     def test_matches_scipy_on_lcurve_objective(self, curvature_cases, case):
         factors, rhs = curvature_cases[case]
         _, args = curvature_args(factors, rhs)
-        log_grid = np.log(lcurve_gamma_grid(factors, 200))
+        log_grid = np.log(factors.lcurve_table[0])
         neg = grid_curvature(np.exp(log_grid), *args)
         idx = int(np.argmin(neg))
         assert 0 < idx < log_grid.size - 1
