@@ -64,9 +64,22 @@ class KernelDescriptor:
     domain: Domain
 
 
+def _check_points(points: np.ndarray, field: str, distinct: bool = True) -> None:
+    """Raise ValueError unless `points` are finite and, if `distinct`, pairwise
+    distinct: sorted (complex by real, then imaginary part), repeats such as
+    0.0 and -0.0 are neighbours.  Not `np.unique`: it imports numpy.ma."""
+    if not np.isfinite(points).all():
+        raise ValueError(f"{field} must be finite")
+    if distinct:
+        ordered = np.sort(points, axis=None)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError(f"{field} must be pairwise distinct")
+
+
 @dataclass(frozen=True)
 class SpikeSignal:
-    """Ground-truth (or recovered) spike locations and weights."""
+    """Ground-truth (or recovered) spike locations and weights: equally
+    many, at least one, all finite, and the locations pairwise distinct."""
 
     locations: np.ndarray
     weights: np.ndarray
@@ -78,8 +91,8 @@ class SpikeSignal:
         object.__setattr__(self, "weights", wts)
         if locs.size != wts.size or locs.size < 1:
             raise ValueError("locations and weights must have equal length >= 1")
-        if len(np.unique(locs)) != locs.size:
-            raise ValueError("spike locations must be pairwise distinct")
+        _check_points(locs, "SpikeSignal.locations")
+        _check_points(wts, "SpikeSignal.weights", distinct=False)
 
     @property
     def n_x(self) -> int:
@@ -88,10 +101,13 @@ class SpikeSignal:
 
 @dataclass(frozen=True)
 class SampleSet:
+    """Sample points s_j: finite; repeats are allowed."""
+
     points: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.atleast_1d(as_float(self.points)))
+        _check_points(self.points, "SampleSet.points", distinct=False)
 
     @property
     def n_s(self) -> int:
@@ -100,13 +116,14 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class CollocationNodes:
+    """Collocation nodes a_t: finite and pairwise distinct."""
+
     nodes: np.ndarray
 
     def __post_init__(self):
         nodes = np.atleast_1d(as_float(self.nodes))
         object.__setattr__(self, "nodes", nodes)
-        if len(np.unique(nodes)) != nodes.size:
-            raise ValueError("collocation nodes must be pairwise distinct")
+        _check_points(nodes, "CollocationNodes.nodes")
 
     @property
     def n_a(self) -> int:

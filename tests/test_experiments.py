@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from spikerec import (
     run_sweep,
     synthesize,
 )
+import spikerec
 from spikerec import MethodConfig, Variant, cli, eigenmatrix, experiments, generate_samples
 from spikerec.cli import build_parser, main as cli_main
 from spikerec.errors import ConvergenceFailure, FlatCurveWarning, UnknownPreset
@@ -574,6 +577,23 @@ class TestEmitReport:
 
 
 class TestCli:
+    def test_run_imports_no_numpy_module(self, tmp_path):
+        # a fresh `recover` process pays for every module its run imports;
+        # np.unique, for one, imports all of numpy.ma on its first call
+        src = Path(spikerec.__file__).resolve().parents[1]
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from spikerec.cli import main; "
+            "before = set(sys.modules); "
+            "rc = main(['--preset', 'rational', '--method', 'lcurve', '--method', 'pinv', "
+            "'--seeds', '1', '--format', 'json', '--no-timing', '--out', sys.argv[2]]); "
+            "print(rc, sorted(m for m in set(sys.modules) - before if m.startswith('numpy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(src), str(tmp_path)],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "0 []"
+
     def test_success_exit_zero(self, tmp_path, capsys):
         rc = cli_main(
             [

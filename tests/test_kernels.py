@@ -229,6 +229,27 @@ class TestSignalValidation:
         with pytest.raises(ValueError):
             SpikeSignal([0.5, 0.2], [1.0])
 
+    NONFINITE = {"nan": np.nan, "inf": np.inf, "complex_nan": complex(0.5, np.nan)}
+    BUILDS = {
+        "SpikeSignal.locations": lambda bad: SpikeSignal([bad, 1.0], [1.0, 1.0]),
+        "SpikeSignal.weights": lambda bad: SpikeSignal([0.5, 1.0], [bad, 1.0]),
+        "CollocationNodes.nodes": lambda bad: CollocationNodes([bad, 0.5]),
+        "SampleSet.points": lambda bad: SampleSet([bad, 0.5]),
+    }
+
+    @pytest.mark.parametrize("bad", NONFINITE.values(), ids=NONFINITE.keys())
+    @pytest.mark.parametrize("field", BUILDS)
+    def test_nonfinite_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite$"):
+            self.BUILDS[field](bad)
+
+    def test_two_nan_locations_are_nonfinite_not_repeats(self):
+        with pytest.raises(ValueError, match="^SpikeSignal.locations must be finite$"):
+            SpikeSignal([np.nan, np.nan], [1.0, 1.0])
+
+    def test_repeated_sample_points_allowed(self):
+        assert SampleSet([0.5, 0.5, -0.0, 0.0]).n_s == 4
+
 
 class TestDtypeRule:
     """Arrays keep the type of their data: real input is float64 and complex

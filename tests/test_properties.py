@@ -10,7 +10,7 @@ from spikerec import (
     PreparedSystem, add_noise, load_preset, make_method, recover, run_sweep, synthesize
 )
 from spikerec.kernels import (
-    PRESET_IDS, CollocationNodes, Observations, SampleSet, SpikeSignal
+    PRESET_IDS, CollocationNodes, Observations, SampleSet, SpikeSignal, _check_points
 )
 from spikerec.regularization import tikhonov_solve
 
@@ -175,3 +175,38 @@ def test_first_user_of_a_shared_piece_changes_no_result(preset_id, sigma_index, 
     assert [repr({**vars(r), "wall_time_ms": 0.0}) for r in backward] == [
         repr({**vars(r), "wall_time_ms": 0.0}) for r in forward
     ]
+
+
+def _point_sets():
+    """Finite real or complex 1-D arrays, some with an exact repeat of an
+    entry or a -0.0 beside a 0.0 (in either part of a complex value)."""
+    part = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 1e300)) | st.floats(
+        -1e6, 1e6, allow_nan=False
+    )
+    real = st.lists(part, min_size=1, max_size=12).map(np.array)
+    complex_ = st.lists(st.builds(complex, part, part), min_size=1, max_size=12).map(np.array)
+
+    @st.composite
+    def injected(draw):
+        a = draw(real | complex_)
+        i, j = draw(st.integers(0, a.size - 1)), draw(st.integers(0, a.size))
+        return np.insert(a, j, a[i])
+
+    signed_zero = st.sampled_from((
+        np.array([0.0, -0.0]), np.array([1.0, -0.0, 2.0, 0.0]),
+        np.array([1j, complex(-0.0, 1.0)]), np.array([complex(2.0, 0.0), complex(2.0, -0.0)]),
+    ))
+    return real | complex_ | injected() | signed_zero
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(points=_point_sets())
+def test_point_check_rejects_what_unique_would(points):
+    # the sort-based check replaces `len(np.unique(a)) != a.size`; on finite
+    # input both must reject exactly the same arrays
+    repeated = len(np.unique(points)) != points.size
+    if repeated:
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            _check_points(points, "points")
+    else:
+        _check_points(points, "points")
