@@ -19,7 +19,6 @@ from spikerec import (
     run_sweep,
     synthesize,
 )
-import spikerec
 from spikerec import MethodConfig, Variant, cli, eigenmatrix, experiments, generate_samples
 from spikerec.cli import build_parser, main as cli_main
 from spikerec.errors import ConvergenceFailure, FlatCurveWarning, UnknownPreset
@@ -580,7 +579,7 @@ class TestCli:
     def test_run_imports_no_numpy_module(self, tmp_path):
         # a fresh `recover` process pays for every module its run imports;
         # np.unique, for one, imports all of numpy.ma on its first call
-        src = Path(spikerec.__file__).resolve().parents[1]
+        src = Path(cli.__file__).resolve().parents[1]
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); from spikerec.cli import main; "
             "before = set(sys.modules); "
