@@ -103,15 +103,16 @@ def truncated_pinv_apply(factors: SvdFactors, tol: float, rhs: np.ndarray) -> np
 
 
 def _project(factors: SvdFactors, rhs: np.ndarray) -> tuple:
-    """(U^H rhs, squared norm of rhs's part outside the range of U, ||rhs||);
-    ValueError for a rhs with a NaN or infinite entry."""
+    """(beta = U^H rhs, a = |beta|^2, perp_sq = ||rhs||^2 - sum(a), the squared
+    norm of rhs's part outside the range of U, and ||rhs||); ValueError for a
+    rhs with a NaN or infinite entry."""
     rhs = as_float(rhs)
     norm = np.linalg.norm(rhs)
     if not norm < np.inf:  # False for NaN
         raise ValueError(f"rhs must be finite-valued, not of norm {norm}")
     beta = factors.left.conj().T @ rhs
-    perp_sq = max(float(norm**2 - np.linalg.norm(beta) ** 2), 0.0)
-    return beta, perp_sq, norm
+    a = np.abs(beta) ** 2
+    return beta, a, max(float(norm**2 - a.sum()), 0.0), norm
 
 
 def _solution(factors, beta, a, perp_sq, gamma, flagged=False):
@@ -134,8 +135,8 @@ def tikhonov_solve(factors: SvdFactors, rhs: np.ndarray, gamma: float) -> Tikhon
     """Minimizer of ||G v - rhs||^2 + gamma^2 ||v||^2 via SVD filter factors."""
     if not 0 < gamma < np.inf:  # False for NaN
         raise ValueError("gamma must be finite and positive")
-    beta, perp_sq, _ = _project(factors, rhs)
-    return _solution(factors, beta, np.abs(beta) ** 2, perp_sq, gamma)
+    beta, a, perp_sq, _ = _project(factors, rhs)
+    return _solution(factors, beta, a, perp_sq, gamma)
 
 
 def _filter_terms(grid, s_sq):
@@ -182,118 +183,76 @@ def _neg_curvature(gamma, s_sq, weights, perp_sq):
     return _curvature(gamma, sums[0], sums[1], (d2 * d) @ weights[:, 1], perp_sq)
 
 
-_BRENT_CG = 0.3819660  # golden-section fraction, as in scipy.optimize.Brent
-_BRENT_TOL = 1.48e-8
-_BRENT_MINTOL = 1.0e-11
-_BRENT_MAXITER = 500
+def _parabolic_min(func, x, f):
+    """Minimizer of `func` from the bracket x = [a, b, c], a < b < c, and its
+    values f, whose middle one lies below the first and at most the last.
 
-
-def _brent(func, xa, xb, xc, fa, fb, fc):
-    """Brent's minimizer of `func` from the bracket xa < xb < xc.
-
-    Parabolic interpolation with golden-section fallback (R. P. Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 5): the loop,
-    constants and tolerances of scipy.optimize.Brent.optimize (scipy 1.17).
-    The caller passes fa, fb, fc = func(xa), func(xb), func(xc), which it
-    may already hold; with them the result is bitwise scipy's, three
-    evaluations fewer.  Raises ValueError when the triple does not bracket a
-    minimum (unlike scipy, a decreasing triple is not swapped).
+    Successive parabolic interpolation, the fast step of Brent's method
+    without its golden-section fallback (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5): each step evaluates
+    `func` at the vertex of the parabola through the three points while the
+    vertex lies strictly inside (a, c), and keeps the lowest point in the
+    middle.  One vertex within Brent's tolerance 1.48e-8 |b| + 1e-11 of b can
+    be a stall, a tiny step beside b while the minimum lies farther off, so
+    the loop stops at the second such vertex in a row, or after 20 steps.
+    Returns b, the lowest point evaluated.
     """
-    if not (xa < xb < xc):
-        raise ValueError("bracket must satisfy xa < xb < xc")
-    if not (fb < fa and fb < fc):
-        raise ValueError("bracket must satisfy f(xb) < f(xa) and f(xb) < f(xc)")
-    a, b = xa, xc
-    x = w = v = xb
-    fx = fw = fv = fb
-    deltax = rat = 0.0
-    for _ in range(_BRENT_MAXITER):
-        tol1 = _BRENT_TOL * abs(x) + _BRENT_MINTOL
-        tol2 = 2.0 * tol1
-        xmid = 0.5 * (a + b)
-        if abs(x - xmid) < tol2 - 0.5 * (b - a):
+    (a, b, c), (fa, fb, fc) = x, f
+    near = 0
+    for _ in range(20):
+        r, q = (b - a) * (fb - fc), (b - c) * (fb - fa)
+        if r == q:  # a flat triple has no vertex
             break
-        golden = abs(deltax) <= tol1
-        if not golden:  # parabola through (x, fx), (w, fw), (v, fv)
-            tmp1 = (x - w) * (fx - fv)
-            tmp2 = (x - v) * (fx - fw)
-            p = (x - v) * tmp2 - (x - w) * tmp1
-            tmp2 = 2.0 * (tmp2 - tmp1)
-            if tmp2 > 0.0:
-                p = -p
-            tmp2 = abs(tmp2)
-            dx_temp, deltax = deltax, rat
-            golden = not (
-                tmp2 * (a - x) < p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp)
-            )
-            if not golden:
-                rat = p / tmp2
-                u = x + rat
-                if (u - a) < tol2 or (b - u) < tol2:
-                    rat = tol1 if xmid - x >= 0 else -tol1
-        if golden:
-            deltax = (a if x >= xmid else b) - x
-            rat = _BRENT_CG * deltax
-        if abs(rat) < tol1:  # step by at least tol1
-            u = x + tol1 if rat >= 0 else x - tol1
-        else:
-            u = x + rat
+        u = b - 0.5 * ((b - a) * r - (b - c) * q) / (r - q)
+        if not a < u < c:  # False for a NaN vertex too
+            break
+        near = near + 1 if abs(u - b) < 1.48e-8 * abs(b) + 1e-11 else 0
+        if near == 2:
+            break
         fu = func(u)
-        if fu > fx:  # u narrows the bracket
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, w, fv, fw = w, u, fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        else:  # u is the best point so far, x narrows the bracket
-            a, b = (x, b) if u >= x else (a, x)
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-    return x
+        if fu < fb:
+            a, b, c, fa, fb, fc = (a, u, b, fa, fu, fb) if u < b else (b, u, c, fb, fu, fc)
+        elif u < b:
+            a, fa = u, fu
+        else:
+            c, fc = u, fu
+    return b
 
 
 def lcurve_select(factors: SvdFactors, rhs: np.ndarray) -> TikhonovSolution:
     """Tikhonov solution at the maximum-curvature corner of the L-curve.
 
     Scans a log-spaced gamma grid over [max(sigma_r, 1e-12*sigma_1),
-    sigma_1], then refines the interior curvature maximum by Brent's method
-    over the two neighboring grid cells.  If the curvature has no interior
-    maximum the endpoint solution is returned with the flagged bit set
-    (FlatCurveWarning).
+    sigma_1], then refines the interior curvature maximum by successive
+    parabolic interpolation in log gamma over the two neighboring grid cells
+    (`_parabolic_min`), never to a point of lower curvature than the grid
+    point's.  If the curvature has no interior maximum the endpoint solution
+    is returned with the flagged bit set (FlatCurveWarning).
 
     The scan weights `factors.lcurve_table`, shared by every rhs on the same
     factors, by this rhs alone.
     """
     grid, terms = factors.lcurve_table
-    beta, perp_sq, norm = _project(factors, rhs)
+    beta, a, perp_sq, norm = _project(factors, rhs)
     s = factors.singular_values
-    a = np.abs(beta) ** 2
     if norm == 0.0:  # degenerate rhs: curvature is 0/0 everywhere
         return _solution(factors, beta, a, perp_sq, s[0], flagged=True)
     s_sq = s * s
     weights = np.stack((a, s_sq * a), axis=1)
     neg = _grid_curvature(grid, terms, weights, perp_sq)
     idx = int(np.argmin(neg))
-    flagged = idx == 0 or idx == grid.size - 1
-    gamma = grid[idx]
-    if flagged:
-        warnings.warn(
-            "L-curve curvature has no interior maximum", FlatCurveWarning, stacklevel=2
-        )
-    else:
-        # the bracket's curvatures come from the grid pass, so Brent starts
-        # without evaluating; argmin puts neg[idx] strictly below its left
-        # neighbour, and a tie on the right raises and keeps the grid point;
-        # Python floats give Brent the same IEEE arithmetic at less overhead
-        lo, mid, hi = np.log(grid[idx - 1 : idx + 2]).tolist()
+    if idx == 0 or idx == grid.size - 1:
+        warnings.warn("L-curve curvature has no interior maximum", FlatCurveWarning, stacklevel=2)
+        return _solution(factors, beta, a, perp_sq, grid[idx], flagged=True)
+    # the bracket's curvatures come from the grid pass, so the loop starts
+    # without evaluating; argmin puts neg[idx] strictly below its left
+    # neighbour and at most its right one; Python floats give the loop the
+    # same IEEE arithmetic at less overhead
 
-        def objective(lg):
-            return float(_neg_curvature(float(np.exp(lg)), s_sq, weights, perp_sq))
+    def objective(lg):
+        return float(_neg_curvature(float(np.exp(lg)), s_sq, weights, perp_sq))
 
-        try:
-            lg_opt = _brent(objective, lo, mid, hi, *neg[idx - 1 : idx + 2].tolist())
-            gamma = float(np.exp(lg_opt))
-        except ValueError:
-            pass  # degenerate bracket: keep the grid point
-        gamma = min(max(float(gamma), float(grid[0])), float(grid[-1]))
-    return _solution(factors, beta, a, perp_sq, gamma, flagged)
+    bracket = np.log(grid[idx - 1 : idx + 2]).tolist()
+    lg = _parabolic_min(objective, bracket, neg[idx - 1 : idx + 2].tolist())
+    gamma = min(max(float(np.exp(lg)), float(grid[0])), float(grid[-1]))
+    return _solution(factors, beta, a, perp_sq, gamma)
