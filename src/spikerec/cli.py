@@ -4,8 +4,9 @@ Usage:
     recover --preset rational --method lcurve --method pinv \
             --sigma 0.1 --seeds 20 --out results --format csv
 
-Exit codes: 0 on success, 1 on usage errors (mostly the ValueError of
-load_preset, make_method or check_sweep), 2 if any run failed mid-pipeline.
+Exit codes: 0 on success; 1 on usage errors, mostly the ValueError of
+load_preset, make_method or check_sweep; 2 if any run failed numerically
+(a SpikerecError, filed as a failed record).  Other exceptions propagate.
 """
 
 from __future__ import annotations

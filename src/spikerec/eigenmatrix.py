@@ -12,12 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DegenerateDesign,
-    IllConditionedShiftWarning,
-    RankDeficient,
-)
+from .errors import IllConditionedShiftWarning, NonFinite, RankDeficient, SpikerecError
 from .kernels import (
     CollocationNodes,
     CollocationSystem,
@@ -72,8 +67,9 @@ class MethodConfig:
         if self.variant is not Variant.REGULARIZED_FIXED_GAMMA:
             if self.gamma is not None:
                 raise ValueError(f"gamma is a fixed-gamma setting; {self.variant.value} takes none")
-        elif not (is_real(self.gamma) and 0 < self.gamma < np.inf):
-            raise ValueError("fixed-gamma variant needs a finite gamma > 0")
+        elif not (is_real(self.gamma) and 0 < self.gamma and self.gamma * self.gamma < np.inf):
+            # the Tikhonov filter squares gamma
+            raise ValueError(f"gamma must be > 0 with a finite square, not {self.gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +119,12 @@ def build_eigenmatrix(system: CollocationSystem, tol: float, factors: SvdFactors
 
 
 def krylov_original(M: np.ndarray, u_noisy: np.ndarray, l: int) -> np.ndarray:
-    """A = [u, M u, ..., M^l u] by repeated matrix-vector products; u must be finite."""
+    """A = [u, M u, ..., M^l u] by matrix-vector products; a non-finite u raises NonFinite."""
     if l < 1:
         raise ValueError("l must be >= 1")
     cols = [as_float(u_noisy)]
     if not np.isfinite(cols[0]).all():
-        raise ValueError("u must be finite-valued")
+        raise NonFinite("u must be finite-valued")
     for _ in range(l):
         cols.append(M @ cols[-1])
     return np.column_stack(cols)
@@ -191,10 +187,7 @@ def recover_weights(
 ) -> np.ndarray:
     """Minimum-norm least squares for the weights at the recovered locations."""
     design = eval_kernel(kernel, samples.points[:, None], as_float(locations)[None, :])
-    try:
-        factors = compute_svd(design)
-    except (ConvergenceFailure, ValueError) as exc:
-        raise DegenerateDesign("weight design matrix has no usable spectrum") from exc
+    factors = compute_svd(design)
     tol = WEIGHT_PINV_TOL * factors.singular_values[0]
     return truncated_pinv_apply(factors, tol, as_float(u_noisy))
 
@@ -219,9 +212,12 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
     SVD, the L-curve table, pinv's tolerance and M) is built by the first
     call on `prepared` that needs it, in that call's stage and timing, and
     reused after.  A build that fails is not kept, so the next call raises
-    the same error.  Every exception let through carries its `stage`.
+    the same error.  A `SpikerecError` let through carries its `stage`; an
+    `obs.noisy` not of shape (n_s,) raises ValueError before any stage.
     """
     pieces, u = prepared._pieces, obs.noisy
+    if u.shape != (prepared.samples.n_s,):
+        raise ValueError(f"obs.noisy must have shape ({prepared.samples.n_s},), not {u.shape}")
     stage = "collocation"
     try:
         system = prepared.system
@@ -252,7 +248,7 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
         locations = _project_locations(prepared.kernel, raw)
         stage = "weights"
         weights = recover_weights(prepared.kernel, prepared.samples, locations, u)
-    except Exception as exc:
+    except SpikerecError as exc:
         exc.stage = stage
         raise
     return RecoveryResult(locations, weights, float(gamma_or_tol), cond_minus, gap)

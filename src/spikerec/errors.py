@@ -2,7 +2,10 @@
 
 
 class SpikerecError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class of the numerical failures: a run that raises one is a failed
+    record at the `stage` that `recover` sets.  Bad input raises ValueError."""
+
+    stage = None
 
 
 class DomainError(SpikerecError):
@@ -13,7 +16,7 @@ class DegenerateColumn(SpikerecError):
     """A collocation column of G is identically zero and cannot be normalized."""
 
 
-class UnknownPreset(SpikerecError):
+class UnknownPreset(ValueError):
     """Experiment preset identifier is not one of the known five."""
 
 
@@ -26,11 +29,11 @@ class ConvergenceFailure(SpikerecError):
 
 
 class RankDeficient(SpikerecError):
-    """Krylov matrix has numerical rank below the requested model order."""
+    """A matrix has too low a numerical rank: Krylov A below n_x, L-curve factors below 2."""
 
 
-class DegenerateDesign(SpikerecError):
-    """The design matrix for weight recovery is identically zero."""
+class NonFinite(SpikerecError):
+    """A matrix or vector that a step reads holds a NaN or infinite entry."""
 
 
 class SizeMismatch(SpikerecError):

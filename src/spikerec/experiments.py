@@ -33,9 +33,6 @@ from .kernels import (
 from .metrics import match_and_error
 
 _NAN = float("nan")
-# What a run may raise and still be a failed record; LinAlgError is a
-# ValueError.  Anything else is a bug and propagates.
-_RUN_FAILURES = (SpikerecError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,8 @@ def run_one(
     preset: ExperimentPreset, config: MethodConfig, prepared: PreparedSystem, obs: Observations
 ) -> RunRecord:
     """Run one (method, sigma, seed) cell on the seed's prepared system and
-    noisy observation; failures land in the record.
+    noisy observation; a `SpikerecError` lands in the record at its stage,
+    and any other exception propagates.
 
     The record's sigma and seed are `obs.sigma` and `obs.seed`.  Its wall
     time covers `recover`, which includes building any shared piece of
@@ -125,8 +123,7 @@ def run_one(
     t0 = time.perf_counter()
     try:
         result = recover(config, prepared, obs)
-    except _RUN_FAILURES as exc:
-        # `recover` tags every exception it lets through with its stage
+    except SpikerecError as exc:
         return RunRecord(
             preset.id, config.variant.value, obs.sigma, obs.seed,
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
@@ -153,11 +150,14 @@ def check_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> tuple:
     ValueError names an argument that is not a collection (a generator would be
     spent by a first check), is empty or repeats an entry (no record, or two
     under one key; methods by variant, 0.0 == -0.0), or a method without the
-    preset's `n_x`, a seed not an integer >= 0, or a sigma not a finite real
-    >= 0 (bools are neither)."""
+    preset's `n_x` or with l > max(n_a, n_x + 2) (M has rank <= n_a, so more
+    Krylov columns add no rank), a seed not an integer >= 0, or a sigma not a
+    finite real >= 0 (bools are neither)."""
     sigmas = preset.sigma_list if sigmas is None else sigmas
+    n_x, l_max = preset.truth.n_x, max(preset.n_a, preset.truth.n_x + 2)
     for name, values, valid, rule in (
-        ("method", methods, lambda m: m.n_x == preset.truth.n_x, f"have n_x = {preset.truth.n_x}"),
+        ("method", methods, lambda m: m.n_x == n_x and m.l <= l_max,
+         f"have n_x = {n_x} and l <= max(n_a, n_x + 2) = {l_max}"),
         ("seed", seeds, lambda s: is_integer(s) and s >= 0, "be integers >= 0"),
         ("sigma", sigmas, lambda x: is_real(x) and 0 <= x < np.inf, "be finite numbers >= 0"),
     ):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AllTruncated, ConvergenceFailure, FlatCurveWarning
+from .errors import AllTruncated, ConvergenceFailure, FlatCurveWarning, NonFinite, RankDeficient
 from .kernels import as_float
 
 LCURVE_FLOOR = 1e-12  # lower grid bound as a multiple of sigma_1
@@ -42,10 +42,10 @@ class SvdFactors:
 
         Both depend on the singular values alone (Hansen 2010, ch. 5), so
         every rhs filtered by these factors shares one read-only table, built
-        on first use.  Rank below 2 raises ValueError, caching nothing.
+        on first use.  Rank below 2 raises RankDeficient, caching nothing.
         """
         if self.rank < 2:
-            raise ValueError("L-curve selection needs at least two singular values")
+            raise RankDeficient("L-curve selection needs at least two singular values")
         s = self.singular_values
         grid = np.geomspace(max(s[-1], LCURVE_FLOOR * s[0]), s[0], LCURVE_GRID)
         table = grid, _filter_terms(grid, s * s)
@@ -64,10 +64,10 @@ class TikhonovSolution:
 
 
 def compute_svd(matrix: np.ndarray) -> SvdFactors:
-    """Thin SVD, dropping singular values below SVD_DROP * sigma_1."""
+    """Thin SVD, dropping singular values below SVD_DROP * sigma_1; NonFinite for NaN or inf."""
     matrix = as_float(matrix)
     if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix must be finite-valued")
+        raise NonFinite("matrix must be finite-valued")
     try:
         u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -104,12 +104,12 @@ def truncated_pinv_apply(factors: SvdFactors, tol: float, rhs: np.ndarray) -> np
 
 def _project(factors: SvdFactors, rhs: np.ndarray) -> tuple:
     """(beta = U^H rhs, a = |beta|^2, perp_sq = ||rhs||^2 - sum(a), the squared
-    norm of rhs's part outside the range of U, and ||rhs||); ValueError for a
+    norm of rhs's part outside the range of U, and ||rhs||); NonFinite for a
     rhs with a NaN or infinite entry."""
     rhs = as_float(rhs)
     norm = np.linalg.norm(rhs)
     if not norm < np.inf:  # False for NaN
-        raise ValueError(f"rhs must be finite-valued, not of norm {norm}")
+        raise NonFinite(f"rhs must be finite-valued, not of norm {norm}")
     beta = factors.left.conj().T @ rhs
     a = np.abs(beta) ** 2
     return beta, a, max(float(norm**2 - a.sum()), 0.0), norm

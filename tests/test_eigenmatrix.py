@@ -24,7 +24,8 @@ from spikerec import (
 )
 from spikerec import eigenmatrix, make_method
 from spikerec.errors import (
-    AllTruncated, DegenerateDesign, DomainError, IllConditionedShiftWarning, RankDeficient
+    AllTruncated, ConvergenceFailure, DomainError, IllConditionedShiftWarning, NonFinite,
+    RankDeficient,
 )
 from spikerec.kernels import CollocationSystem, Observations, SampleSet, SpikeSignal
 from spikerec.experiments import load_preset
@@ -115,7 +116,7 @@ class TestKrylov:
     def test_original_nonfinite_u(self, bad):
         u = np.arange(1.0, 6.0)
         u[3] = bad
-        with pytest.raises(ValueError, match="u must be finite"):
+        with pytest.raises(NonFinite, match="u must be finite"):
             krylov_original(np.eye(5), u, 2)
 
     def test_regularized_zero_v(self):
@@ -261,14 +262,16 @@ class TestRecoverWeights:
     @pytest.mark.parametrize(
         "design",
         [
-            (KERNEL, [np.nan, 0.5]),  # a NaN column
-            (load_preset("laplace").kernel, [0.0]),  # x exp(-s x) is 0 at x = 0
+            (KERNEL, [np.nan, 0.5], NonFinite),  # a NaN column
+            # x exp(-s x) is 0 at x = 0
+            (load_preset("laplace").kernel, [0.0], ConvergenceFailure),
         ],
     )
     def test_unusable_design_is_degenerate(self, design):
-        kernel, locations = design
+        # compute_svd's own failure, not re-wrapped: stage `weights` says where
+        kernel, locations, error = design
         samples = SampleSet(np.array([1.5, 2.0, 3.0]))
-        with pytest.raises(DegenerateDesign):
+        with pytest.raises(error):
             recover_weights(kernel, samples, np.array(locations), np.ones(3))
 
     def test_programming_error_propagates(self, monkeypatch):
@@ -418,10 +421,12 @@ class TestMethodConfig:
         with pytest.raises(ValueError):
             MethodConfig(Variant.REGULARIZED_FIXED_GAMMA, n_x=4)
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf"), 1e155])
     def test_fixed_gamma_must_be_finite_and_positive(self, gamma):
-        with pytest.raises(ValueError):
+        # 1e155 is finite, but the Tikhonov filter's gamma^2 is not
+        with pytest.raises(ValueError) as info:
             MethodConfig(Variant.REGULARIZED_FIXED_GAMMA, n_x=4, gamma=gamma)
+        assert str(info.value).endswith(f"not {gamma!r}")
 
     @pytest.mark.parametrize("variant", [Variant.ORIGINAL_PINV, Variant.REGULARIZED_LCURVE])
     def test_gamma_only_for_fixed_gamma(self, variant):

@@ -193,7 +193,31 @@ class TestRunOne:
         prepared = PreparedSystem(p.kernel, samples, p.nodes())
         rec = run_one(p, config, prepared, Observations(u, u, 0.0, 0))
         assert rec.failed_stage == stage
-        assert rec.error.startswith(f"ValueError: {message}")
+        assert rec.error.startswith(f"NonFinite: {message}")
+
+    @pytest.mark.parametrize("method", ["lcurve", "fixed-gamma", "pinv"])
+    @pytest.mark.parametrize("shape", ["wrong-length", "2-D"])
+    def test_misshapen_observation_raises(self, method, shape):
+        # a caller's bug, not a failed record at the first stage that reads u
+        p = load_preset("fourier")
+        samples = p.samples(0)
+        u = synthesize(p.kernel, p.truth, samples)
+        u = u[:-1] if shape == "wrong-length" else np.column_stack((u, u))
+        config = make_method(method, gamma=0.1 if method == "fixed-gamma" else None)
+        prepared = PreparedSystem(p.kernel, samples, p.nodes())
+        with pytest.raises(ValueError, match=r"^obs.noisy must have shape \(128,\), not "):
+            run_one(p, config, prepared, Observations(u, u, 0.0, 0))
+
+    @pytest.mark.parametrize("method", ["lcurve", "pinv"])
+    def test_programming_error_in_a_stage_propagates(self, monkeypatch, method):
+        # a bug inside recover is raised as it is: no record, no stage on it
+        def broken(A, n_x):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(eigenmatrix, "esprit_extract", broken)
+        with pytest.raises(TypeError, match="not a numerical failure") as info:
+            _run_alone(load_preset("fourier"), make_method(method), 1e-2, 0)
+        assert not hasattr(info.value, "stage")
 
     def test_failure_is_recorded_not_raised(self):
         p = load_preset("rational")
@@ -295,6 +319,16 @@ class TestRunSweep:
         # each repeat would file a second record under the same key
         with pytest.raises(ValueError, match="none repeated"):
             run_sweep(load_preset("fourier"), [make_method(m) for m in methods], seeds, sigmas)
+
+    @pytest.mark.parametrize("n_a, l", [(32, 33), (32, 2**70), (4, 7)])
+    def test_krylov_l_bounded(self, n_a, l):
+        # M has rank <= n_a, so Krylov columns past n_a + 1 add time, not
+        # rank; the default l = n_x + 2 stays admitted at every n_a >= n_x
+        preset = load_preset("fourier", n_a=n_a)
+        bound = max(n_a, 6)
+        check_sweep(preset, [make_method("pinv", l=bound), make_method("lcurve")], [0])
+        with pytest.raises(ValueError, match=rf"l <= max\(n_a, n_x \+ 2\) = {bound}, .*l={l},"):
+            check_sweep(preset, [make_method("pinv", l=l)], [0])
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, sigma):
@@ -671,6 +705,8 @@ class TestCli:
             (["--method", "pinv", "--method", "pinv"], None),
             (["--seed-list", "3", "3"], None),
             ([], {"sigma_list": 0.1}),
+            (["--preset", "rational", "--method", "fixed-gamma", "--gamma", "1e155"], None),
+            ([], {"l": 33}),
         ],
         ids=[
             "no-seeds", "negative-seed", "negative-sigma", "nan-sigma",
@@ -681,7 +717,8 @@ class TestCli:
             "nan-gamma", "inf-gamma", "n_s-below-n_x", "n_a-below-n_x",
             "gamma-without-fixed-gamma", "tol-factor-without-pinv",
             "nan-tol-factor-pinv", "repeated-sigma", "repeated-config-sigma",
-            "repeated-method", "repeated-seed", "scalar-config-sigma",
+            "repeated-method", "repeated-seed", "scalar-config-sigma", "gamma-square-overflows",
+            "l-above-n_a",
         ],
     )
     def test_bad_input_exit_one(self, tmp_path, capsys, extra, config):
@@ -724,6 +761,17 @@ class TestCli:
         assert cli_main(argv) == 1
         assert capsys.readouterr().err == f"error: {expected.value}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("pid", ["rational", "fourier", "laplace"])
+    def test_l_at_n_a_runs(self, tmp_path, pid):
+        # the largest l that check_sweep admits at the default n_a = 32
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"l": 32}))
+        argv = [
+            "--preset", pid, "--method", "lcurve", "--method", "pinv", "--seeds", "1",
+            "--sigma", "0.01", "--config", str(cfg), "--out", str(tmp_path / "out"),
+        ]
+        assert cli_main(argv) == 0
 
     def test_method_choices_are_the_variants(self):
         (action,) = [a for a in build_parser()._actions if "--method" in a.option_strings]
