@@ -72,7 +72,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # undecodable text and 4300+ digit ints too
             return _usage_error(f"cannot read config {args.config}: {exc}")
         if not isinstance(overrides, dict):
             return _usage_error(f"config {args.config} must hold a JSON object")

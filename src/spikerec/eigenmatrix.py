@@ -22,8 +22,8 @@ from .kernels import (
     as_float,
     build_collocation_system,
     eval_kernel,
+    is_finite,
     is_integer,
-    is_real,
 )
 from .regularization import (
     SvdFactors,
@@ -62,12 +62,12 @@ class MethodConfig:
             object.__setattr__(self, "l", self.n_x + 2)
         if not (is_integer(self.l) and self.l > self.n_x):
             raise ValueError(f"l must be an integer > n_x = {self.n_x}, not {self.l!r}")
-        if not (is_real(self.tol_factor) and 0 < self.tol_factor < np.inf):
+        if not (is_finite(self.tol_factor) and self.tol_factor > 0):
             raise ValueError(f"tol_factor must be finite and > 0, not {self.tol_factor!r}")
         if self.variant is not Variant.REGULARIZED_FIXED_GAMMA:
             if self.gamma is not None:
                 raise ValueError(f"gamma is a fixed-gamma setting; {self.variant.value} takes none")
-        elif not (is_real(self.gamma) and 0 < self.gamma and self.gamma * self.gamma < np.inf):
+        elif not (is_finite(self.gamma) and self.gamma > 0 and is_finite(self.gamma * self.gamma)):
             # the Tikhonov filter squares gamma
             raise ValueError(f"gamma must be > 0 with a finite square, not {self.gamma!r}")
 

@@ -29,15 +29,11 @@ class ConvergenceFailure(SpikerecError):
 
 
 class RankDeficient(SpikerecError):
-    """A matrix has too low a numerical rank: Krylov A below n_x, L-curve factors below 2."""
+    """Too low a numerical rank: a zero matrix, Krylov A below n_x, L-curve factors below 2."""
 
 
 class NonFinite(SpikerecError):
     """A matrix or vector that a step reads holds a NaN or infinite entry."""
-
-
-class SizeMismatch(SpikerecError):
-    """Truth and recovered signals have different spike counts."""
 
 
 class FlatCurveWarning(UserWarning):

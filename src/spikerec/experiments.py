@@ -24,8 +24,8 @@ from .kernels import (
     add_noise,
     chebyshev_nodes,
     generate_samples,
+    is_finite,
     is_integer,
-    is_real,
     preset_row,
     synthesize,
     uniform_circle_nodes,
@@ -33,6 +33,7 @@ from .kernels import (
 from .metrics import match_and_error
 
 _NAN = float("nan")
+MAX_ARRAY_BYTES = 2**30  # load_preset's cap on 16 * n_s * max(n_s, n_a)
 
 
 @dataclass(frozen=True)
@@ -98,13 +99,17 @@ def load_preset(
     id: str, beta: float = DEFAULT_BETA, n_s: int | None = None, n_a: int = 32
 ) -> ExperimentPreset:
     """A preset of `kernels.PRESETS`, whose `preset_row` checks `id`, `n_s`
-    and `beta`; an `n_a` not an integer >= n_x raises ValueError.  Its
-    `sigma_list` holds the default noise levels; others go to `run_sweep`.
+    and `beta`; ValueError for an `n_a` not an integer >= n_x, or for sizes
+    whose largest array (complex G, n_s x n_a, or pinv's M, n_s x n_s) exceeds
+    MAX_ARRAY_BYTES.  `sigma_list` holds the default noise levels; others go to `run_sweep`.
     """
     kernel, locs, n_s, sigmas, _ = preset_row(id, n_s, beta)
     # rank(A) <= rank(G-hat) <= n_a
     if not (is_integer(n_a) and n_a >= len(locs)):
         raise ValueError(f"n_a must be an integer >= {len(locs)} (n_x), not {n_a!r}")
+    if 16 * n_s * max(n_s, n_a) > MAX_ARRAY_BYTES:
+        raise ValueError(f"n_s = {n_s} and n_a = {n_a} exceed the array cap "
+                         f"16 * n_s * max(n_s, n_a) <= {MAX_ARRAY_BYTES} bytes")
     truth = SpikeSignal(locs, np.ones(len(locs)))
     return ExperimentPreset(id, kernel, truth, n_s, n_a, sigmas, beta)
 
@@ -159,7 +164,7 @@ def check_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> tuple:
         ("method", methods, lambda m: m.n_x == n_x and m.l <= l_max,
          f"have n_x = {n_x} and l <= max(n_a, n_x + 2) = {l_max}"),
         ("seed", seeds, lambda s: is_integer(s) and s >= 0, "be integers >= 0"),
-        ("sigma", sigmas, lambda x: is_real(x) and 0 <= x < np.inf, "be finite numbers >= 0"),
+        ("sigma", sigmas, lambda x: is_finite(x) and x >= 0, "be finite numbers >= 0"),
     ):
         if not (isinstance(values, Collection) and getattr(values, "ndim", 1)):  # 0-d arrays
             raise ValueError(f"{name}s must be a collection such as a list, not {values!r}")

@@ -31,6 +31,7 @@ from .errors import DegenerateColumn, DomainError, UnknownPreset
 # this default keeps the error-vs-noise trend monotone across the benchmark
 # noise levels.  Overridable via config/CLI.
 DEFAULT_BETA = 40.0
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class Kind(Enum):
@@ -172,10 +173,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """A real-valued setting, not a bool.  Compare it against np.inf to
-    reject NaN and infinities; the comparison is exact for huge ints."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def is_finite(value) -> bool:
+    """A real setting, not a bool, whose magnitude fits a float64.  Ints compare
+    with floats exactly, so NaN, the infinities and 10**400 all fail."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= FLOAT_MAX
 
 
 def _rng(seed: int, stream: int) -> Generator:
@@ -269,7 +271,7 @@ def preset_row(id: str, n_s: int | None = None, beta: float = DEFAULT_BETA) -> t
         raise ValueError(f"n_s must be an integer >= {len(locs)} (n_x), not {n_s!r}")
     if draw is _matsubara and n_s % 2:
         raise ValueError(f"the spectral preset needs an even n_s, not {n_s!r}")
-    if not (is_real(beta) and 0 < beta < np.inf):
+    if not (is_finite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and > 0, not {beta!r}")
     return kernel, locs, n_s, sigmas, draw
 
@@ -290,8 +292,9 @@ def synthesize(kernel: KernelDescriptor, signal: SpikeSignal, samples: SampleSet
 
 
 def add_noise(u: np.ndarray, sigma: float, rng_seed: int) -> Observations:
-    """Multiplicative Gaussian noise: u_j * (1 + sigma * Z_j), Z_j ~ N(0, 1)."""
-    if not 0 <= sigma < np.inf:  # False for NaN
+    """Multiplicative Gaussian noise: u_j * (1 + sigma * Z_j), Z_j ~ N(0, 1);
+    ValueError unless sigma is finite (`is_finite`) and >= 0."""
+    if not (is_finite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, not {sigma!r}")
     u = as_float(u)
     z = _rng(rng_seed, stream=1).standard_normal(u.size)

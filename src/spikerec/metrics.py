@@ -8,7 +8,6 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import SizeMismatch
 from .kernels import SpikeSignal, as_float
 
 EXHAUSTIVE_LIMIT = 8
@@ -53,9 +52,7 @@ def match_and_error(truth: SpikeSignal, recovered) -> ErrorPair:
     rec_locs = as_float(recovered.locations)
     rec_wts = as_float(recovered.weights)
     if rec_locs.size != truth.n_x or rec_wts.size != truth.n_x:
-        raise SizeMismatch(
-            f"truth has {truth.n_x} spikes, recovery has {rec_locs.size}"
-        )
+        raise ValueError(f"truth has {truth.n_x} spikes, recovery has {rec_locs.size}")
     perm = _best_permutation(truth.locations, rec_locs)
     idx = np.asarray(perm)
     loc_err = float(np.linalg.norm(truth.locations - rec_locs[idx]))

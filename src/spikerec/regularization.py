@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AllTruncated, ConvergenceFailure, FlatCurveWarning, NonFinite, RankDeficient
-from .kernels import as_float
+from .kernels import as_float, is_finite
 
 LCURVE_FLOOR = 1e-12  # lower grid bound as a multiple of sigma_1
 SVD_DROP = 1e-15  # singular values below SVD_DROP * sigma_1 are discarded
@@ -64,7 +64,8 @@ class TikhonovSolution:
 
 
 def compute_svd(matrix: np.ndarray) -> SvdFactors:
-    """Thin SVD, dropping singular values below SVD_DROP * sigma_1; NonFinite for NaN or inf."""
+    """Thin SVD, dropping singular values below SVD_DROP * sigma_1; NonFinite for NaN
+    or inf, RankDeficient for a zero matrix, ConvergenceFailure if LAPACK fails."""
     matrix = as_float(matrix)
     if not np.all(np.isfinite(matrix)):
         raise NonFinite("matrix must be finite-valued")
@@ -73,12 +74,10 @@ def compute_svd(matrix: np.ndarray) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("SVD failed to converge") from exc
     if s.size == 0 or s[0] == 0:
-        raise ConvergenceFailure("matrix is identically zero")
+        raise RankDeficient("matrix is identically zero")
     keep = s > SVD_DROP * s[0]
     r = int(np.count_nonzero(keep))
-    return SvdFactors(
-        left=u[:, :r], singular_values=s[:r], right=vh[:r].conj().T
-    )
+    return SvdFactors(left=u[:, :r], singular_values=s[:r], right=vh[:r].conj().T)
 
 
 def truncate(factors: SvdFactors, tol: float) -> tuple:
@@ -133,8 +132,8 @@ def _solution(factors, beta, a, perp_sq, gamma, flagged=False):
 
 def tikhonov_solve(factors: SvdFactors, rhs: np.ndarray, gamma: float) -> TikhonovSolution:
     """Minimizer of ||G v - rhs||^2 + gamma^2 ||v||^2 via SVD filter factors."""
-    if not 0 < gamma < np.inf:  # False for NaN
-        raise ValueError("gamma must be finite and positive")
+    if not (is_finite(gamma) and gamma > 0 and is_finite(gamma * gamma)):  # as MethodConfig's
+        raise ValueError(f"gamma must be > 0 with a finite square, not {gamma!r}")
     beta, a, perp_sq, _ = _project(factors, rhs)
     return _solution(factors, beta, a, perp_sq, gamma)
 

@@ -24,8 +24,7 @@ from spikerec import (
 )
 from spikerec import eigenmatrix, make_method
 from spikerec.errors import (
-    AllTruncated, ConvergenceFailure, DomainError, IllConditionedShiftWarning, NonFinite,
-    RankDeficient,
+    AllTruncated, DomainError, IllConditionedShiftWarning, NonFinite, RankDeficient,
 )
 from spikerec.kernels import CollocationSystem, Observations, SampleSet, SpikeSignal
 from spikerec.experiments import load_preset
@@ -263,8 +262,8 @@ class TestRecoverWeights:
         "design",
         [
             (KERNEL, [np.nan, 0.5], NonFinite),  # a NaN column
-            # x exp(-s x) is 0 at x = 0
-            (load_preset("laplace").kernel, [0.0], ConvergenceFailure),
+            # x exp(-s x) is 0 at x = 0: rank zero, not a failed SVD
+            (load_preset("laplace").kernel, [0.0], RankDeficient),
         ],
     )
     def test_unusable_design_is_degenerate(self, design):

@@ -1,29 +1,35 @@
 import dataclasses
 import hashlib
+import io
 import json
 import re
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikerec import (
     PreparedSystem,
     add_noise,
     check_sweep,
+    compute_svd,
     load_preset,
     make_method,
     run_one,
     run_sweep,
     synthesize,
+    tikhonov_solve,
 )
 from spikerec import MethodConfig, Variant, cli, eigenmatrix, experiments, generate_samples
 from spikerec.cli import build_parser, main as cli_main
 from spikerec.errors import ConvergenceFailure, FlatCurveWarning, UnknownPreset
 from spikerec.kernels import PRESET_IDS, Observations, SampleSet
-from spikerec.experiments import emit_report
+from spikerec.experiments import REPORT_FORMATS, emit_report
 
 NAN = float("nan")
 
@@ -137,11 +143,20 @@ class TestLoadPreset:
             load_preset("fourier"), [make_method("pinv")], [0], sigmas=(0.1, 0.01, 0.1)
         ),
         lambda: check_sweep(load_preset("fourier"), [make_method("pinv")], [0], [0.0, -0.0]),
+        # ints beyond the float range: Python compares them with inf exactly
+        lambda: make_method("fixed-gamma", gamma=10**200),
+        lambda: load_preset("spectral", beta=10**400),
+        lambda: tikhonov_solve(compute_svd(np.eye(3)), np.ones(3), 1e200),
+        lambda: tikhonov_solve(compute_svd(np.eye(3)), np.ones(3), 10**200),
+        lambda: load_preset("fourier", n_s=2**70),
+        lambda: load_preset("fourier", n_a=2**70),
     ],
     ids=[
         "nan-tol-factor", "float-l", "unknown-method", "n_s-below-n_x", "n_a-below-n_x",
         "nan-sigma", "negative-beta", "odd-spectral-n_s", "repeated-sigma",
-        "signed-zero-sigmas",
+        "signed-zero-sigmas", "int-gamma-square-overflows", "huge-int-beta",
+        "tikhonov-gamma-square-overflows", "tikhonov-int-gamma-square-overflows",
+        "huge-n_s", "huge-n_a",
     ],
 )
 def test_library_rejects_bad_setting(build):
@@ -609,6 +624,31 @@ class TestEmitReport:
         assert names == {f"{pid}_truth.dat"} | {f"{pid}_sigma{s:g}_pinv.dat" for s in sigmas}
 
 
+# Values for every flag and config key: ints beyond the float range
+# (10**400) and far beyond any array (2**70), NaN, the infinities, zero,
+# negatives, bools, strings, lists and null, beside valid settings.  Most
+# texts parse, so that most draws reach the library's checks.  `--seeds`
+# draws only small counts: check_sweep walks every seed, so `--seeds 2**70`
+# would only run for a very long time.
+_FUZZ_NUMBERS = (str(10**400), str(2**70), "1e400", "nan", "inf", "-inf", "0", "-1", "x")
+_FUZZ_FLOATS = _FUZZ_NUMBERS + ("1e-3", "0.01", "5")
+_FUZZ_INTS = _FUZZ_NUMBERS + ("3", "5", "32")
+_FUZZ_FLAGS = {
+    "--preset": PRESET_IDS + ("bogus",), "--method": tuple(v.value for v in Variant),
+    "--sigma": _FUZZ_FLOATS, "--seeds": ("0", "1", "2", "-1"), "--seed-list": _FUZZ_INTS,
+    "--l": _FUZZ_INTS, "--tol-factor": _FUZZ_FLOATS, "--gamma": _FUZZ_FLOATS,
+    "--beta": _FUZZ_FLOATS, "--format": REPORT_FORMATS, "--no-timing": (None,),
+}
+_FUZZ_VALUES = st.sampled_from((
+    10**400, 2**70, NAN, float("inf"), -float("inf"), 0, -1, True, "x", None, 1e-3, 0.01,
+    8, 32, 33,
+))
+# config files that are not a JSON object of known settings
+_FUZZ_RAW_CONFIGS = (
+    b"{", b"\xff\xfe", b"[1, 2]", b"null", b'{"bogus": 1}', b'{"n_s": ' + b"1" * 5000 + b"}"
+)
+
+
 class TestCli:
     def test_run_imports_no_numpy_module(self, tmp_path):
         # a fresh `recover` process pays for every module its run imports;
@@ -707,6 +747,11 @@ class TestCli:
             ([], {"sigma_list": 0.1}),
             (["--preset", "rational", "--method", "fixed-gamma", "--gamma", "1e155"], None),
             ([], {"l": 33}),
+            (["--method", "pinv"], {"tol_factor": 10**400}),
+            (["--preset", "spectral"], {"beta": 10**400}),
+            ([], {"sigma_list": [10**400]}),
+            ([], {"n_s": 2**70}),
+            ([], {"n_a": 2**70}),
         ],
         ids=[
             "no-seeds", "negative-seed", "negative-sigma", "nan-sigma",
@@ -718,7 +763,8 @@ class TestCli:
             "gamma-without-fixed-gamma", "tol-factor-without-pinv",
             "nan-tol-factor-pinv", "repeated-sigma", "repeated-config-sigma",
             "repeated-method", "repeated-seed", "scalar-config-sigma", "gamma-square-overflows",
-            "l-above-n_a",
+            "l-above-n_a", "huge-int-tol-factor", "huge-int-beta", "huge-int-sigma",
+            "huge-n_s", "huge-n_a",
         ],
     )
     def test_bad_input_exit_one(self, tmp_path, capsys, extra, config):
@@ -902,3 +948,50 @@ class TestCli:
         assert rc == 0
         lines = (tmp_path / "out" / "records.csv").read_text().splitlines()
         assert len(lines) == 2  # one sigma, one seed, one method
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        preset=st.sampled_from(PRESET_IDS),
+        flags=st.lists(
+            st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(
+                lambda f: st.tuples(st.just(f), st.sampled_from(_FUZZ_FLAGS[f]))
+            ),
+            max_size=4,
+        ),
+        config=st.none() | st.sampled_from(_FUZZ_RAW_CONFIGS) | st.dictionaries(
+            st.sampled_from(sorted(cli.CONFIG_KEYS)),
+            _FUZZ_VALUES | st.lists(_FUZZ_VALUES, min_size=1, max_size=2),
+            max_size=3,
+        ),
+    )
+    def test_fuzzed_input_exits_cleanly(self, tmp_path_factory, preset, flags, config):
+        # in-process: an uncaught traceback would also exit 1 from a subprocess
+        base = tmp_path_factory.mktemp("fuzz")
+        out = base / "out"
+        argv = ["--preset", preset, "--out", str(out)]
+        # `--l=-inf`: argparse would read a lone "-inf" as an option
+        argv += [flag if value is None else f"{flag}={value}" for flag, value in flags]
+        # keep every run to one seed and one sigma unless the draw names them
+        if not {"--seeds", "--seed-list"} & {f for f, _ in flags}:
+            argv += ["--seeds", "1"]
+        if "--sigma" not in {f for f, _ in flags} and not (
+            isinstance(config, dict) and "sigma_list" in config
+        ):
+            argv += ["--sigma", "0.01"]
+        if config is not None:
+            cfg = base / "cfg.json"
+            cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+            argv += ["--config", str(cfg)]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+            else:
+                if code == 1:
+                    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+                    assert err.getvalue().startswith("error: ")
+                    assert not out.exists()
+        assert code in (0, 1, 2), (argv, config, err.getvalue())
