@@ -81,8 +81,7 @@ def main(argv=None) -> int:
             return _usage_error(f"unknown config keys in {args.config}: {', '.join(unknown)}")
         if None in overrides.values():
             return _usage_error(f"config {args.config} has a null value")
-    flags = {k: getattr(args, k) for k in ("beta", "l", "tol_factor")}
-    flags["sigma_list"] = args.sigma
+    flags = dict(beta=args.beta, l=args.l, tol_factor=args.tol_factor, sigma_list=args.sigma)
     # a flag given on the command line wins; the library checks every value
     method_args = {**overrides, **{k: v for k, v in flags.items() if v is not None}}
     preset_args = {k: method_args.pop(k) for k in ("n_s", "n_a", "beta") if k in method_args}
@@ -96,13 +95,9 @@ def main(argv=None) -> int:
         return _usage_error("--beta is used only by --preset spectral")
     try:
         preset = load_preset(args.preset, **preset_args)
-        methods = [
-            make_method(
-                name, n_x=preset.truth.n_x,
-                gamma=args.gamma if name == "fixed-gamma" else None, **method_args,
-            )
-            for name in names
-        ]
+        methods = [make_method(name, n_x=preset.truth.n_x, **method_args,
+                               gamma=args.gamma if name == "fixed-gamma" else None)
+                   for name in names]
         methods, seeds, sigmas = check_sweep(preset, methods, seeds, sigmas)
     except ValueError as exc:
         return _usage_error(str(exc))

@@ -208,12 +208,10 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
     G-hat v = u by Tikhonov (L-curve or fixed gamma) and assemble the
     Krylov matrix M-free.  Both filter the same shared SVD factors.
 
-    What does not depend on the observation (the collocation system, its
-    SVD, the L-curve table, pinv's tolerance and M) is built by the first
-    call on `prepared` that needs it, in that call's stage and timing, and
-    reused after.  A build that fails is not kept, so the next call raises
-    the same error.  A `SpikerecError` let through carries its `stage`; an
-    `obs.noisy` not of shape (n_s,) raises ValueError before any stage.
+    The pieces that do not depend on the observation are built and kept as
+    `PreparedSystem` says.  A `SpikerecError` let through carries its
+    `stage`; an `obs.noisy` not of shape (n_s,) raises ValueError before any
+    stage.
     """
     pieces, u = prepared._pieces, obs.noisy
     if u.shape != (prepared.samples.n_s,):

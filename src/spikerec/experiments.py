@@ -33,24 +33,34 @@ from .kernels import (
 from .metrics import match_and_error
 
 _NAN = float("nan")
-MAX_ARRAY_BYTES = 2**30  # load_preset's cap on 16 * n_s * max(n_s, n_a)
+MAX_ARRAY_BYTES = 2**30  # ExperimentPreset's cap on 16 * n_s * max(n_s, n_a)
+MAX_SWEEP_ENTRIES = 10**5  # check_sweep's cap on each argument's length
 
 
 @dataclass(frozen=True)
 class ExperimentPreset:
+    """Row `id` of `kernels.PRESETS` at a caller's `n_s` (None: the row's), `n_a` and
+    `beta`, checked by `preset_row`, n_a >= n_x (rank(A) <= n_a) and MAX_ARRAY_BYTES on
+    complex G and pinv's M; `kernel`, `truth` and `sigma_list` are the row's, not settable."""
+
     id: str
-    kernel: KernelDescriptor
-    truth: SpikeSignal
-    n_s: int
+    n_s: int | None
     n_a: int
-    sigma_list: tuple
     beta: float  # Matsubara scale; only the spectral samples use it
+    kernel: KernelDescriptor = field(init=False)
+    truth: SpikeSignal = field(init=False)
+    sigma_list: tuple = field(init=False)
 
     def __post_init__(self):
-        # `samples` draws by `id`'s law in `PRESETS`, so it must be id's kernel
-        kernel = preset_row(self.id, self.n_s, self.beta)[0]
-        if self.kernel != kernel:
-            raise ValueError(f"preset {self.id!r} has kernel {kernel}, not {self.kernel}")
+        kernel, locs, n_s, sigmas, _ = preset_row(self.id, self.n_s, self.beta)
+        if not (is_integer(self.n_a) and self.n_a >= len(locs)):
+            raise ValueError(f"n_a must be an integer >= {len(locs)} (n_x), not {self.n_a!r}")
+        if 16 * n_s * max(n_s, self.n_a) > MAX_ARRAY_BYTES:
+            raise ValueError(f"n_s = {n_s} and n_a = {self.n_a} exceed the array cap "
+                             f"16 * n_s * max(n_s, n_a) <= {MAX_ARRAY_BYTES} bytes")
+        truth = SpikeSignal(locs, np.ones(len(locs)))
+        # frozen: the row's values go past the dataclass's __setattr__
+        vars(self).update(n_s=n_s, kernel=kernel, truth=truth, sigma_list=sigmas)
 
     def nodes(self) -> CollocationNodes:
         if self.kernel.domain.kind == "disk":
@@ -98,20 +108,8 @@ REPORT_FORMATS = ("csv", "json", "plotdata")
 def load_preset(
     id: str, beta: float = DEFAULT_BETA, n_s: int | None = None, n_a: int = 32
 ) -> ExperimentPreset:
-    """A preset of `kernels.PRESETS`, whose `preset_row` checks `id`, `n_s`
-    and `beta`; ValueError for an `n_a` not an integer >= n_x, or for sizes
-    whose largest array (complex G, n_s x n_a, or pinv's M, n_s x n_s) exceeds
-    MAX_ARRAY_BYTES.  `sigma_list` holds the default noise levels; others go to `run_sweep`.
-    """
-    kernel, locs, n_s, sigmas, _ = preset_row(id, n_s, beta)
-    # rank(A) <= rank(G-hat) <= n_a
-    if not (is_integer(n_a) and n_a >= len(locs)):
-        raise ValueError(f"n_a must be an integer >= {len(locs)} (n_x), not {n_a!r}")
-    if 16 * n_s * max(n_s, n_a) > MAX_ARRAY_BYTES:
-        raise ValueError(f"n_s = {n_s} and n_a = {n_a} exceed the array cap "
-                         f"16 * n_s * max(n_s, n_a) <= {MAX_ARRAY_BYTES} bytes")
-    truth = SpikeSignal(locs, np.ones(len(locs)))
-    return ExperimentPreset(id, kernel, truth, n_s, n_a, sigmas, beta)
+    """`ExperimentPreset(id, n_s, n_a, beta)`: its checks, these defaults."""
+    return ExperimentPreset(id, n_s, n_a, beta)
 
 
 def run_one(
@@ -132,8 +130,7 @@ def run_one(
         return RunRecord(
             preset.id, config.variant.value, obs.sigma, obs.seed,
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            failed_stage=exc.stage,
-            error=f"{type(exc).__name__}: {exc}",
+            failed_stage=exc.stage, error=f"{type(exc).__name__}: {exc}",
         )
     wall = (time.perf_counter() - t0) * 1e3
     errors = match_and_error(preset.truth, result)
@@ -153,11 +150,13 @@ def run_one(
 def check_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> tuple:
     """`(methods, seeds, sigmas)` as tuples; `sigmas=None` is `preset.sigma_list`.
     ValueError names an argument that is not a collection (a generator would be
-    spent by a first check), is empty or repeats an entry (no record, or two
-    under one key; methods by variant, 0.0 == -0.0), or a method without the
-    preset's `n_x` or with l > max(n_a, n_x + 2) (M has rank <= n_a, so more
-    Krylov columns add no rank), a seed not an integer >= 0, or a sigma not a
-    finite real >= 0 (bools are neither)."""
+    spent by a first check), has more than MAX_SWEEP_ENTRIES (500 times the
+    benchmark's seed pool; a walk of 2**70 seeds would not end), is empty or
+    repeats an entry (no record, or two under one key; methods by variant,
+    0.0 == -0.0), or a method without the preset's `n_x` or with
+    l > max(n_a, n_x + 2) (M has rank <= n_a, so more Krylov columns add no
+    rank), a seed not an integer >= 0, or a sigma not a finite real >= 0
+    (bools are neither)."""
     sigmas = preset.sigma_list if sigmas is None else sigmas
     n_x, l_max = preset.truth.n_x, max(preset.n_a, preset.truth.n_x + 2)
     for name, values, valid, rule in (
@@ -168,6 +167,12 @@ def check_sweep(preset: ExperimentPreset, methods, seeds, sigmas=None) -> tuple:
     ):
         if not (isinstance(values, Collection) and getattr(values, "ndim", 1)):  # 0-d arrays
             raise ValueError(f"{name}s must be a collection such as a list, not {values!r}")
+        try:
+            too_many = len(values) > MAX_SWEEP_ENTRIES
+        except OverflowError:  # len(range(2**70)) does not fit a C ssize_t
+            too_many = True
+        if too_many:
+            raise ValueError(f"{name}s must number at most {MAX_SWEEP_ENTRIES}")
         for value in values:
             if not valid(value):
                 raise ValueError(f"{name}s must {rule}, not {value!r}")
@@ -253,9 +258,7 @@ def _emit_plotdata(records, outdir: Path) -> list:
         lines = ["# seed loc_re loc_im weight_re weight_im"]
         for r in recs:
             for loc, w in zip(r.locations, r.weights):
-                lines.append(
-                    f"{r.seed} {loc[0]:.17g} {loc[1]:.17g} {w[0]:.17g} {w[1]:.17g}"
-                )
+                lines.append(f"{r.seed} {loc[0]:.17g} {loc[1]:.17g} {w[0]:.17g} {w[1]:.17g}")
         path.write_text("\n".join(lines) + "\n")
         paths.append(path)
     return paths

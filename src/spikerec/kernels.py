@@ -262,7 +262,9 @@ def preset_row(id: str, n_s: int | None = None, beta: float = DEFAULT_BETA) -> t
     """`PRESETS[id]` with its default n_s replaced by `n_s` if given.  Raises
     UnknownPreset for an id not in the table, and ValueError for an `n_s`
     not an integer >= n_x (ESPRIT needs n_x sample rows), an odd `n_s` on
-    spectral (its grid is +/- pairs) or a `beta` not finite and > 0."""
+    spectral (its grid is +/- pairs), a `beta` not finite and > 0, or one that
+    overflows the top Matsubara frequency (n_s - 1) pi / beta (times 1 / beta,
+    as NumPy's complex division takes it, so the rule and the grid agree)."""
     if id not in PRESET_IDS:  # a tuple, so an unhashable id is unknown too
         raise UnknownPreset(f"unknown preset {id!r}")
     kernel, locs, default_n_s, sigmas, draw = PRESETS[id]
@@ -273,6 +275,8 @@ def preset_row(id: str, n_s: int | None = None, beta: float = DEFAULT_BETA) -> t
         raise ValueError(f"the spectral preset needs an even n_s, not {n_s!r}")
     if not (is_finite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and > 0, not {beta!r}")
+    if not (is_finite(n_s - 1) and is_finite(float(n_s - 1) * np.pi * (1 / float(beta)))):
+        raise ValueError(f"beta = {beta!r} overflows (n_s - 1) * pi / beta at n_s = {n_s}")
     return kernel, locs, n_s, sigmas, draw
 
 

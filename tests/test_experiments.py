@@ -25,7 +25,9 @@ from spikerec import (
     synthesize,
     tikhonov_solve,
 )
-from spikerec import MethodConfig, Variant, cli, eigenmatrix, experiments, generate_samples
+from spikerec import (
+    ExperimentPreset, MethodConfig, Variant, cli, eigenmatrix, experiments, generate_samples
+)
 from spikerec.cli import build_parser, main as cli_main
 from spikerec.errors import ConvergenceFailure, FlatCurveWarning, UnknownPreset
 from spikerec.kernels import PRESET_IDS, Observations, SampleSet
@@ -37,12 +39,26 @@ NAN = float("nan")
 class TestLoadPreset:
     @pytest.mark.parametrize("pid, other", [("fourier", "laplace"), ("spectral", "rational")])
     def test_kernel_belongs_to_id(self, pid, other):
-        # `samples` reads the sample law by id, so a preset relabelled to
-        # another id would sample by that id's law with its own kernel
-        with pytest.raises(ValueError, match="has kernel") as info:
-            dataclasses.replace(load_preset(pid), id=other)
-        assert str(load_preset(pid).kernel) in str(info.value)
-        assert str(load_preset(other).kernel) in str(info.value)
+        # the row's kernel, truth and noise levels are not fields a caller
+        # sets, so a preset relabelled to another id is that id's preset
+        relabelled = dataclasses.replace(load_preset(pid), id=other)
+        expected = load_preset(other)
+        assert relabelled.kernel == expected.kernel
+        np.testing.assert_array_equal(relabelled.truth.locations, expected.truth.locations)
+        np.testing.assert_array_equal(relabelled.truth.weights, expected.truth.weights)
+        assert relabelled.sigma_list == expected.sigma_list
+        # n_s was resolved to pid's count, and sampling follows other's law
+        assert relabelled.n_s == load_preset(pid).n_s
+        np.testing.assert_array_equal(
+            relabelled.samples(3).points, generate_samples(other, 3, n_s=relabelled.n_s).points
+        )
+
+    def test_caller_sets_four_fields(self):
+        # the rest is the table row's, so it cannot disagree with the id
+        names = [f.name for f in dataclasses.fields(ExperimentPreset) if f.init]
+        assert names == ["id", "n_s", "n_a", "beta"]
+        preset = ExperimentPreset("laplace", None, 32, 40.0)
+        assert (preset.n_s, preset.kernel) == (100, load_preset("laplace").kernel)
 
     @pytest.mark.parametrize("pid", ["rational", "spectral", "fourier", "laplace", "deconv"])
     def test_common_invariants(self, pid):
@@ -89,10 +105,13 @@ class TestLoadPreset:
             ("spectral", 7, 40.0, 7),
             ("spectral", None, 0.0, 0.0),
             ("laplace", None, NAN, NAN),
+            # (n_s - 1) pi / beta overflows: the Matsubara grid would be infinite
+            ("spectral", None, 1e-310, 1e-310),
+            ("fourier", None, 1e-310, 1e-310),
         ],
         ids=[
             "unknown-id", "list-id", "n_s-below-n_x", "float-n_s", "odd-spectral-n_s",
-            "zero-beta", "nan-beta",
+            "zero-beta", "nan-beta", "spectral-frequency-overflows", "fourier-frequency-overflows",
         ],
     )
     def test_preset_rules_have_one_owner(self, pid, n_s, beta, bad):
@@ -150,13 +169,19 @@ class TestLoadPreset:
         lambda: tikhonov_solve(compute_svd(np.eye(3)), np.ones(3), 10**200),
         lambda: load_preset("fourier", n_s=2**70),
         lambda: load_preset("fourier", n_a=2**70),
+        # a preset runs its rules however it is built
+        lambda: dataclasses.replace(load_preset("fourier"), n_s=2**70),
+        lambda: dataclasses.replace(load_preset("fourier"), n_a=2**70),
+        lambda: dataclasses.replace(load_preset("fourier"), n_a=3),
+        lambda: dataclasses.replace(load_preset("fourier"), sigma_list=(0.2,)),
     ],
     ids=[
         "nan-tol-factor", "float-l", "unknown-method", "n_s-below-n_x", "n_a-below-n_x",
         "nan-sigma", "negative-beta", "odd-spectral-n_s", "repeated-sigma",
         "signed-zero-sigmas", "int-gamma-square-overflows", "huge-int-beta",
         "tikhonov-gamma-square-overflows", "tikhonov-int-gamma-square-overflows",
-        "huge-n_s", "huge-n_a",
+        "huge-n_s", "huge-n_a", "replace-huge-n_s", "replace-huge-n_a", "replace-n_a-below-n_x",
+        "replace-sigma-list",
     ],
 )
 def test_library_rejects_bad_setting(build):
@@ -344,6 +369,28 @@ class TestRunSweep:
         check_sweep(preset, [make_method("pinv", l=bound), make_method("lcurve")], [0])
         with pytest.raises(ValueError, match=rf"l <= max\(n_a, n_x \+ 2\) = {bound}, .*l={l},"):
             check_sweep(preset, [make_method("pinv", l=l)], [0])
+
+    @pytest.mark.parametrize(
+        "seeds, sigmas",
+        [
+            (range(2**70), None),
+            (range(experiments.MAX_SWEEP_ENTRIES + 1), None),
+            ([0], [0.01] * (experiments.MAX_SWEEP_ENTRIES + 1)),
+        ],
+        ids=["2**70-seeds", "seeds-over-cap", "sigmas-over-cap"],
+    )
+    def test_sweep_arguments_capped_before_the_walk(self, seeds, sigmas):
+        # len() is read before any entry: check_sweep would walk range(2**70)
+        # for ever, and its len() overflows a C ssize_t, which counts as over
+        name = "seeds" if sigmas is None else "sigmas"
+        cap = experiments.MAX_SWEEP_ENTRIES
+        with pytest.raises(ValueError, match=f"^{name} must number at most {cap}$"):
+            check_sweep(load_preset("fourier"), [make_method("pinv")], seeds, sigmas)
+
+    def test_sweep_cap_admits_the_benchmark_pool(self):
+        # the benchmark draws from 200 seeds, the oracle runs 40
+        seeds = check_sweep(load_preset("fourier"), [make_method("pinv")], range(200))[1]
+        assert seeds == tuple(range(200))
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, sigma):
@@ -628,16 +675,17 @@ class TestEmitReport:
 # (10**400) and far beyond any array (2**70), NaN, the infinities, zero,
 # negatives, bools, strings, lists and null, beside valid settings.  Most
 # texts parse, so that most draws reach the library's checks.  `--seeds`
-# draws only small counts: check_sweep walks every seed, so `--seeds 2**70`
-# would only run for a very long time.
+# draws small counts and 2**70, which check_sweep's cap rejects before its
+# walk; `--beta` also draws 1e-310, whose Matsubara grid would overflow.
 _FUZZ_NUMBERS = (str(10**400), str(2**70), "1e400", "nan", "inf", "-inf", "0", "-1", "x")
 _FUZZ_FLOATS = _FUZZ_NUMBERS + ("1e-3", "0.01", "5")
 _FUZZ_INTS = _FUZZ_NUMBERS + ("3", "5", "32")
 _FUZZ_FLAGS = {
     "--preset": PRESET_IDS + ("bogus",), "--method": tuple(v.value for v in Variant),
-    "--sigma": _FUZZ_FLOATS, "--seeds": ("0", "1", "2", "-1"), "--seed-list": _FUZZ_INTS,
+    "--sigma": _FUZZ_FLOATS, "--seeds": ("0", "1", "2", "-1", str(2**70)),
+    "--seed-list": _FUZZ_INTS,
     "--l": _FUZZ_INTS, "--tol-factor": _FUZZ_FLOATS, "--gamma": _FUZZ_FLOATS,
-    "--beta": _FUZZ_FLOATS, "--format": REPORT_FORMATS, "--no-timing": (None,),
+    "--beta": _FUZZ_FLOATS + ("1e-310",), "--format": REPORT_FORMATS, "--no-timing": (None,),
 }
 _FUZZ_VALUES = st.sampled_from((
     10**400, 2**70, NAN, float("inf"), -float("inf"), 0, -1, True, "x", None, 1e-3, 0.01,
@@ -752,6 +800,8 @@ class TestCli:
             ([], {"sigma_list": [10**400]}),
             ([], {"n_s": 2**70}),
             ([], {"n_a": 2**70}),
+            (["--preset", "spectral", "--beta", "1e-310", "--seeds", "1", "--sigma", "0.01"], None),
+            (["--seeds", str(2**70)], None),
         ],
         ids=[
             "no-seeds", "negative-seed", "negative-sigma", "nan-sigma",
@@ -764,7 +814,7 @@ class TestCli:
             "nan-tol-factor-pinv", "repeated-sigma", "repeated-config-sigma",
             "repeated-method", "repeated-seed", "scalar-config-sigma", "gamma-square-overflows",
             "l-above-n_a", "huge-int-tol-factor", "huge-int-beta", "huge-int-sigma",
-            "huge-n_s", "huge-n_a",
+            "huge-n_s", "huge-n_a", "matsubara-frequency-overflows", "huge-seed-count",
         ],
     )
     def test_bad_input_exit_one(self, tmp_path, capsys, extra, config):

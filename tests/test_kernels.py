@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikerec import (
     Domain,
@@ -17,6 +18,7 @@ from spikerec import (
     uniform_circle_nodes,
 )
 from spikerec.errors import DegenerateColumn, DomainError, UnknownPreset
+from spikerec import kernels
 from spikerec.kernels import CollocationNodes, Observations
 
 RATIONAL = KernelDescriptor(Kind.RATIONAL, UNIT_DISK)
@@ -110,6 +112,33 @@ class TestGenerateSamples:
         # unchecked, beta = 0 gives nan+infj points with only a RuntimeWarning
         with pytest.raises(ValueError, match=f"^beta must be finite and > 0, not {beta!r}$"):
             generate_samples(preset, 0, beta=beta)
+
+    def test_matsubara_overflow_boundary(self):
+        # at n_s = 256 the top frequency 255 pi / beta passes the float64
+        # maximum between these two betas; below it the grid would be infinite
+        message = r"^beta = 4.4e-306 overflows \(n_s - 1\) \* pi / beta at n_s = 256$"
+        with pytest.raises(ValueError, match=message):
+            generate_samples("spectral", 0, beta=4.4e-306)
+        top = np.abs(generate_samples("spectral", 0, beta=4.5e-306).points).max()
+        assert np.isfinite(top) and top == pytest.approx(1.78e308, rel=1e-3)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(half=st.integers(2, 4096), ulps=st.integers(-3, 3))
+    def test_matsubara_rule_is_the_grid(self, half, ulps):
+        # preset_row takes the top frequency as NumPy's complex division does,
+        # so at every beta near the overflow it accepts exactly the finite grids
+        n_s = 2 * half
+        beta = (n_s - 1) * np.pi / np.finfo(np.float64).max
+        for _ in range(abs(ulps)):
+            beta = float(np.nextafter(beta, np.inf if ulps > 0 else 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = bool(np.isfinite(kernels._matsubara(None, n_s, beta)).all())
+        try:
+            generate_samples("spectral", 0, beta=beta, n_s=n_s)
+        except ValueError as exc:
+            assert not finite and "overflows" in str(exc)
+        else:
+            assert finite
 
 
 class TestSynthesize:
