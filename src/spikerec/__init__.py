@@ -24,11 +24,9 @@ from .kernels import (
     UNIT_DISK,
     add_noise,
     build_collocation_system,
-    chebyshev_nodes,
     eval_kernel,
     generate_samples,
     synthesize,
-    uniform_circle_nodes,
 )
 from .metrics import ErrorPair, match_and_error
 from .regularization import (

@@ -72,7 +72,7 @@ class MethodConfig:
             raise ValueError(f"gamma must be > 0 with a finite square, not {self.gamma!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedSystem:
     """What depends only on the sample set, shared by every sigma and method:
     the collocation system, the SVD of its normalized matrix, the L-curve
@@ -87,7 +87,7 @@ class PreparedSystem:
     kernel: KernelDescriptor
     samples: SampleSet
     nodes: CollocationNodes
-    _pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pieces: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def system(self) -> CollocationSystem:
@@ -98,7 +98,7 @@ class PreparedSystem:
         return compute_svd(self.system.normalized)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryResult:
     """Recovered spikes, the pinv tolerance or Tikhonov gamma used, and the
     ESPRIT conditioning: cond(V_minus) and sigma_{n_x+1}(A) / sigma_{n_x}(A)."""
@@ -192,14 +192,6 @@ def recover_weights(
     return truncated_pinv_apply(factors, tol, as_float(u_noisy))
 
 
-def _project_locations(kernel: KernelDescriptor, raw: np.ndarray) -> np.ndarray:
-    # Real-interval parameter spaces: report real parts clamped to the
-    # interval, discarding the imaginary parts.
-    if kernel.domain.kind == "interval":
-        return np.clip(raw.real, kernel.domain.lo, kernel.domain.hi)
-    return raw
-
-
 def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -> RecoveryResult:
     """Full pipeline for one noisy observation vector on a prepared system.
 
@@ -243,7 +235,7 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
             gamma_or_tol = sol.gamma
         stage = "esprit"
         raw, cond_minus, gap = esprit_extract(A, config.n_x)
-        locations = _project_locations(prepared.kernel, raw)
+        locations = prepared.kernel.domain.project(raw)
         stage = "weights"
         weights = recover_weights(prepared.kernel, prepared.samples, locations, u)
     except SpikerecError as exc:

@@ -16,56 +16,52 @@ from .eigenmatrix import MethodConfig, PreparedSystem, Variant, recover
 from .errors import SpikerecError
 from .kernels import (
     DEFAULT_BETA,
+    MAX_ARRAY_BYTES,
     CollocationNodes,
     KernelDescriptor,
     Observations,
     SampleSet,
     SpikeSignal,
     add_noise,
-    chebyshev_nodes,
     generate_samples,
     is_finite,
     is_integer,
     preset_row,
     synthesize,
-    uniform_circle_nodes,
 )
 from .metrics import match_and_error
 
 _NAN = float("nan")
-MAX_ARRAY_BYTES = 2**30  # ExperimentPreset's cap on 16 * n_s * max(n_s, n_a)
 MAX_SWEEP_ENTRIES = 10**5  # check_sweep's cap on each argument's length
 
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """Row `id` of `kernels.PRESETS` at a caller's `n_s` (None: the row's), `n_a` and
-    `beta`, checked by `preset_row`, n_a >= n_x (rank(A) <= n_a) and MAX_ARRAY_BYTES on
-    complex G and pinv's M; `kernel`, `truth` and `sigma_list` are the row's, not settable."""
+    """Row `id` of `kernels.PRESETS` at a caller's `n_s` (None: the row's), `n_a` and `beta`,
+    checked by `preset_row`, n_a >= n_x (rank(A) <= n_a) and MAX_ARRAY_BYTES on complex G.
+    It equals and hashes by those four; `kernel`, `truth`, `sigma_list`: the row's, not settable."""
 
     id: str
     n_s: int | None
     n_a: int
     beta: float  # Matsubara scale; only the spectral samples use it
-    kernel: KernelDescriptor = field(init=False)
-    truth: SpikeSignal = field(init=False)
-    sigma_list: tuple = field(init=False)
+    kernel: KernelDescriptor = field(init=False, compare=False)
+    truth: SpikeSignal = field(init=False, compare=False)
+    sigma_list: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         kernel, locs, n_s, sigmas, _ = preset_row(self.id, self.n_s, self.beta)
         if not (is_integer(self.n_a) and self.n_a >= len(locs)):
             raise ValueError(f"n_a must be an integer >= {len(locs)} (n_x), not {self.n_a!r}")
-        if 16 * n_s * max(n_s, self.n_a) > MAX_ARRAY_BYTES:
+        if 16 * n_s * self.n_a > MAX_ARRAY_BYTES:
             raise ValueError(f"n_s = {n_s} and n_a = {self.n_a} exceed the array cap "
-                             f"16 * n_s * max(n_s, n_a) <= {MAX_ARRAY_BYTES} bytes")
+                             f"16 * n_s * n_a <= {MAX_ARRAY_BYTES} bytes")
         truth = SpikeSignal(locs, np.ones(len(locs)))
         # frozen: the row's values go past the dataclass's __setattr__
         vars(self).update(n_s=n_s, kernel=kernel, truth=truth, sigma_list=sigmas)
 
     def nodes(self) -> CollocationNodes:
-        if self.kernel.domain.kind == "disk":
-            return uniform_circle_nodes(self.n_a)
-        return chebyshev_nodes(self.n_a, self.kernel.domain.lo, self.kernel.domain.hi)
+        return self.kernel.domain.nodes(self.n_a)
 
     def samples(self, seed: int) -> SampleSet:
         return generate_samples(self.id, seed, beta=self.beta, n_s=self.n_s)

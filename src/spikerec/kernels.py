@@ -32,6 +32,7 @@ from .errors import DegenerateColumn, DomainError, UnknownPreset
 # noise levels.  Overridable via config/CLI.
 DEFAULT_BETA = 40.0
 FLOAT_MAX = float(np.finfo(np.float64).max)
+MAX_ARRAY_BYTES = 2**30  # caps pinv's M, 16 n_s^2 bytes, and complex G, 16 n_s n_a
 
 
 class Kind(Enum):
@@ -43,7 +44,7 @@ class Kind(Enum):
 
 @dataclass(frozen=True)
 class Domain:
-    """Parameter space X: the closed unit disk or a real interval."""
+    """Parameter space X, the closed unit disk or a real interval, and its geometry."""
 
     kind: str  # "disk" or "interval"
     lo: float = 0.0
@@ -54,6 +55,23 @@ class Domain:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.kind == "interval" and not self.lo < self.hi:
             raise ValueError("interval domain needs lo < hi")
+
+    def nodes(self, n_a: int) -> CollocationNodes:
+        """`n_a` (an integer >= 1) nodes: exp(2 pi i t / n_a) on the unit circle for the
+        disk, first-kind Chebyshev nodes mapped affinely strictly inside an interval."""
+        if not (is_integer(n_a) and n_a >= 1):
+            raise ValueError(f"n_a must be an integer >= 1, not {n_a!r}")
+        if self.kind == "disk":
+            return CollocationNodes(np.exp(2j * np.pi * np.arange(n_a) / n_a))
+        ref = np.cos((2 * np.arange(1, n_a + 1) - 1) * np.pi / (2 * n_a))
+        return CollocationNodes(self.lo + (self.hi - self.lo) * (ref + 1.0) / 2.0)
+
+    def project(self, raw: np.ndarray) -> np.ndarray:
+        """Recovered locations as points of X: `raw` itself on the disk; on an
+        interval its real parts clamped to [lo, hi], the imaginary parts dropped."""
+        if self.kind == "disk":
+            return raw
+        return np.clip(raw.real, self.lo, self.hi)
 
 
 UNIT_DISK = Domain("disk")
@@ -77,7 +95,7 @@ def _check_points(points: np.ndarray, field: str, distinct: bool = True) -> None
             raise ValueError(f"{field} must be pairwise distinct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpikeSignal:
     """Ground-truth (or recovered) spike locations and weights: equally
     many, at least one, all finite, and the locations pairwise distinct."""
@@ -100,7 +118,7 @@ class SpikeSignal:
         return self.locations.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Sample points s_j: finite; repeats are allowed."""
 
@@ -115,7 +133,7 @@ class SampleSet:
         return self.points.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollocationNodes:
     """Collocation nodes a_t: finite and pairwise distinct."""
 
@@ -131,7 +149,7 @@ class CollocationNodes:
         return self.nodes.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observations:
     exact: np.ndarray
     noisy: np.ndarray
@@ -145,7 +163,7 @@ class Observations:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollocationSystem:
     """G-hat, the column-normalized G = [g(s_j, a_t)], and the node diagonal."""
 
@@ -203,27 +221,6 @@ def eval_kernel(kernel: KernelDescriptor, s, x):
     raise ValueError(f"unknown kernel kind {kernel.kind!r}")
 
 
-def uniform_circle_nodes(n_a: int) -> CollocationNodes:
-    """Uniformly spaced nodes exp(2*pi*i*t/n_a) on the unit circle."""
-    if n_a < 1:
-        raise ValueError("n_a must be >= 1")
-    t = np.arange(n_a)
-    return CollocationNodes(np.exp(2j * np.pi * t / n_a))
-
-
-def chebyshev_nodes(n_a: int, lo: float, hi: float) -> CollocationNodes:
-    """First-kind Chebyshev nodes mapped affinely from [-1, 1] to [lo, hi];
-    they stay strictly inside the interval."""
-    if n_a < 1:
-        raise ValueError("n_a must be >= 1")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    t = np.arange(1, n_a + 1)
-    ref = np.cos((2 * t - 1) * np.pi / (2 * n_a))
-    mapped = lo + (hi - lo) * (ref + 1.0) / 2.0
-    return CollocationNodes(mapped)
-
-
 def _annulus(rng, n, beta):  # the modulus is drawn first, then the angle
     r = rng.uniform(1.2, 2.2, size=n)
     return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
@@ -262,7 +259,8 @@ def preset_row(id: str, n_s: int | None = None, beta: float = DEFAULT_BETA) -> t
     """`PRESETS[id]` with its default n_s replaced by `n_s` if given.  Raises
     UnknownPreset for an id not in the table, and ValueError for an `n_s`
     not an integer >= n_x (ESPRIT needs n_x sample rows), an odd `n_s` on
-    spectral (its grid is +/- pairs), a `beta` not finite and > 0, or one that
+    spectral (its grid is +/- pairs), an `n_s` whose pinv M (16 n_s^2 bytes)
+    exceeds MAX_ARRAY_BYTES, a `beta` not finite and > 0, or one that
     overflows the top Matsubara frequency (n_s - 1) pi / beta (times 1 / beta,
     as NumPy's complex division takes it, so the rule and the grid agree)."""
     if id not in PRESET_IDS:  # a tuple, so an unhashable id is unknown too
@@ -273,6 +271,8 @@ def preset_row(id: str, n_s: int | None = None, beta: float = DEFAULT_BETA) -> t
         raise ValueError(f"n_s must be an integer >= {len(locs)} (n_x), not {n_s!r}")
     if draw is _matsubara and n_s % 2:
         raise ValueError(f"the spectral preset needs an even n_s, not {n_s!r}")
+    if 16 * n_s * n_s > MAX_ARRAY_BYTES:
+        raise ValueError(f"n_s = {n_s} exceeds the array cap 16 n_s^2 <= {MAX_ARRAY_BYTES} bytes")
     if not (is_finite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and > 0, not {beta!r}")
     if not (is_finite(n_s - 1) and is_finite(float(n_s - 1) * np.pi * (1 / float(beta)))):

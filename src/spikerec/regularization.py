@@ -23,7 +23,7 @@ SVD_DROP = 1e-15  # singular values below SVD_DROP * sigma_1 are discarded
 LCURVE_GRID = 200  # gamma grid points of the corner scan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Thin SVD with strictly positive, nonincreasing singular values; the
     singular vectors are real for a real matrix and complex otherwise."""
@@ -54,7 +54,7 @@ class SvdFactors:
         return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TikhonovSolution:
     v: np.ndarray
     gamma: float

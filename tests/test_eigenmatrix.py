@@ -20,7 +20,6 @@ from spikerec import (
     recover,
     recover_weights,
     synthesize,
-    uniform_circle_nodes,
 )
 from spikerec import eigenmatrix, make_method
 from spikerec.errors import (

@@ -90,6 +90,27 @@ class TestLoadPreset:
         with pytest.raises(UnknownPreset):
             load_preset("bogus")
 
+    def test_presets_equal_and_hash_by_their_settings(self):
+        # kernel, truth and sigma_list follow from id, n_s, n_a and beta; the
+        # truth's arrays have no single truth value under ==
+        assert load_preset("fourier") == load_preset("fourier")
+        assert hash(load_preset("fourier")) == hash(load_preset("fourier"))
+        assert load_preset("fourier") != load_preset("fourier", n_a=16)
+        assert len({load_preset(p) for p in PRESET_IDS * 2}) == len(PRESET_IDS)
+
+    @pytest.mark.parametrize(
+        "n_s, n_a, admitted",
+        [(8192, 32, True), (8193, 32, False), (8192, 8192, True), (8192, 8193, False),
+         (128, 2**19, True), (128, 2**19 + 1, False)],
+    )
+    def test_array_cap_is_16_n_s_max_n_s_n_a(self, n_s, n_a, admitted):
+        # preset_row caps pinv's n_s x n_s M and the preset complex G, n_s x n_a
+        if admitted:
+            assert load_preset("fourier", n_s=n_s, n_a=n_a).n_s == n_s
+        else:
+            with pytest.raises(ValueError, match=rf"^n_s = {n_s} .*exceeds? the array cap"):
+                load_preset("fourier", n_s=n_s, n_a=n_a)
+
     @pytest.mark.parametrize("pid", PRESET_IDS)
     def test_default_n_s_has_one_owner(self, pid):
         # kernels.PRESETS: the sampler's default is the preset's
@@ -108,10 +129,13 @@ class TestLoadPreset:
             # (n_s - 1) pi / beta overflows: the Matsubara grid would be infinite
             ("spectral", None, 1e-310, 1e-310),
             ("fourier", None, 1e-310, 1e-310),
+            # pinv's M would take 16 n_s^2 = 16 TiB; the sampler alone 8 TiB
+            ("fourier", 2**40, 40.0, 2**40),
         ],
         ids=[
             "unknown-id", "list-id", "n_s-below-n_x", "float-n_s", "odd-spectral-n_s",
             "zero-beta", "nan-beta", "spectral-frequency-overflows", "fourier-frequency-overflows",
+            "n_s-over-array-cap",
         ],
     )
     def test_preset_rules_have_one_owner(self, pid, n_s, beta, bad):
@@ -188,6 +212,30 @@ def test_library_rejects_bad_setting(build):
     # rejected when the setting is taken, before any run can start
     with pytest.raises(ValueError):
         build()
+
+
+def _containers() -> dict:
+    """One of each frozen container that holds arrays, by class name."""
+    preset = load_preset("fourier")
+    samples = preset.samples(0)
+    prepared = PreparedSystem(preset.kernel, samples, preset.nodes())
+    obs = add_noise(synthesize(preset.kernel, preset.truth, samples), 1e-2, 0)
+    built = [preset.truth, samples, prepared.nodes, obs, prepared.system, prepared.factors,
+             tikhonov_solve(prepared.factors, obs.noisy, 1e-3), prepared,
+             eigenmatrix.recover(make_method("pinv"), prepared, obs)]
+    return {type(c).__name__: c for c in built}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["SpikeSignal", "SampleSet", "CollocationNodes", "Observations", "CollocationSystem",
+     "SvdFactors", "TikhonovSolution", "PreparedSystem", "RecoveryResult"],
+)
+def test_array_containers_compare_by_identity(name):
+    # field-wise == on arrays has no single truth value, so it would raise
+    first, second = _containers()[name], _containers()[name]
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
 
 
 @pytest.mark.parametrize("name", ["pinv", "lcurve"])

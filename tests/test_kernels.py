@@ -11,11 +11,9 @@ from spikerec import (
     UNIT_DISK,
     add_noise,
     build_collocation_system,
-    chebyshev_nodes,
     eval_kernel,
     generate_samples,
     synthesize,
-    uniform_circle_nodes,
 )
 from spikerec.errors import DegenerateColumn, DomainError, UnknownPreset
 from spikerec import kernels
@@ -47,29 +45,49 @@ class TestEvalKernel:
 
 class TestGrids:
     def test_circle_nodes_fourth_roots(self):
-        nodes = uniform_circle_nodes(4).nodes
+        nodes = UNIT_DISK.nodes(4).nodes
         np.testing.assert_allclose(nodes, [1, 1j, -1, -1j], atol=1e-15)
 
     def test_circle_single_node(self):
-        np.testing.assert_allclose(uniform_circle_nodes(1).nodes, [1.0])
+        np.testing.assert_allclose(UNIT_DISK.nodes(1).nodes, [1.0])
 
     def test_circle_32_unit_modulus_and_spacing(self):
-        nodes = uniform_circle_nodes(32).nodes
+        nodes = UNIT_DISK.nodes(32).nodes
         assert np.all(np.abs(np.abs(nodes) - 1) <= 1e-15)
         angles = np.sort(np.angle(nodes))
         np.testing.assert_allclose(np.diff(angles), np.pi / 16, atol=1e-12)
 
     def test_chebyshev_single(self):
-        np.testing.assert_allclose(chebyshev_nodes(1, -1, 1).nodes, [0.0], atol=1e-16)
+        np.testing.assert_allclose(Domain("interval", -1, 1).nodes(1).nodes, [0.0], atol=1e-16)
 
     def test_chebyshev_two(self):
-        nodes = np.sort(chebyshev_nodes(2, -1, 1).nodes.real)
+        nodes = np.sort(Domain("interval", -1, 1).nodes(2).nodes.real)
         np.testing.assert_allclose(nodes, [-np.sqrt(2) / 2, np.sqrt(2) / 2])
 
     def test_chebyshev_strictly_inside_shifted(self):
-        nodes = chebyshev_nodes(32, 0.1, 2.1).nodes.real
+        nodes = Domain("interval", 0.1, 2.1).nodes(32).nodes.real
         assert nodes.size == 32
         assert np.all((nodes > 0.1) & (nodes < 2.1))
+
+    @pytest.mark.parametrize(
+        "domain", [UNIT_DISK, Domain("interval", 0.1, 2.1)], ids=["disk", "interval"]
+    )
+    @pytest.mark.parametrize("n_a", [2.5, True, 0], ids=["float", "bool", "zero"])
+    def test_node_count_is_an_integer_of_at_least_one(self, domain, n_a):
+        # np.arange(2.5) has 3 entries: a float count would pass silently
+        with pytest.raises(ValueError, match=f"^n_a must be an integer >= 1, not {n_a!r}$"):
+            domain.nodes(n_a)
+
+    def test_interval_projection_clamps_real_parts(self):
+        raw = np.array([-0.5 + 0.1j, 0.7 - 2.0j, 3.0 + 0.0j, 1.3 + 0.0j])
+        located = Domain("interval", 0.1, 2.1).project(raw)
+        assert located.dtype == np.float64
+        np.testing.assert_array_equal(located, [0.1, 0.7, 2.1, 1.3])
+
+    def test_disk_projection_keeps_raw(self):
+        # a spike off the closed disk is reported where ESPRIT put it
+        raw = np.array([1.5 + 0.5j, -0.2j])
+        assert UNIT_DISK.project(raw) is raw
 
 
 class TestGenerateSamples:
@@ -214,7 +232,7 @@ class TestAddNoise:
 class TestCollocationSystem:
     def test_unit_column_norms(self):
         samples = generate_samples("fourier", 0)
-        nodes = chebyshev_nodes(32, -1, 1)
+        nodes = Domain("interval", -1, 1).nodes(32)
         sys_ = build_collocation_system(FOURIER, samples, nodes)
         np.testing.assert_allclose(
             np.linalg.norm(sys_.normalized, axis=0), 1.0, atol=1e-14
@@ -228,7 +246,7 @@ class TestCollocationSystem:
 
     def test_norms_reconstruct_matrix(self):
         samples = generate_samples("rational", 17)
-        nodes = uniform_circle_nodes(32)
+        nodes = UNIT_DISK.nodes(32)
         sys_ = build_collocation_system(RATIONAL, samples, nodes)
         G = eval_kernel(RATIONAL, samples.points[:, None], nodes.nodes[None, :])
         np.testing.assert_allclose(
@@ -334,5 +352,5 @@ class TestDtypeRule:
         assert generate_samples(preset, 0).points.dtype == dtype
 
     def test_nodes(self):
-        assert chebyshev_nodes(8, 0.1, 2.1).nodes.dtype == np.float64
-        assert uniform_circle_nodes(8).nodes.dtype == np.complex128
+        assert Domain("interval", 0.1, 2.1).nodes(8).nodes.dtype == np.float64
+        assert UNIT_DISK.nodes(8).nodes.dtype == np.complex128
