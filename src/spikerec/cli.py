@@ -4,9 +4,10 @@ Usage:
     recover --preset rational --method lcurve --method pinv \
             --sigma 0.1 --seeds 20 --out results --format csv
 
-Exit codes: 0 on success; 1 on usage errors, mostly the ValueError of
-load_preset, make_method or check_sweep; 2 if any run failed numerically
-(a SpikerecError, filed as a failed record).  Other exceptions propagate.
+Exit codes: 0 on success; 1 on a usage error (mostly the ValueError of
+load_preset, make_method or check_sweep) or a report that cannot be written;
+2 if any run failed numerically (a SpikerecError, filed as a failed record).
+Other exceptions propagate.
 """
 
 from __future__ import annotations
@@ -106,7 +107,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _usage_error(f"cannot create output directory {args.out}: {exc}")
     records = run_sweep(preset, methods, seeds, sigmas)
-    paths = emit_report(records, args.format, args.out, include_timing=not args.no_timing)
+    try:
+        paths = emit_report(records, args.format, args.out, include_timing=not args.no_timing)
+    except OSError as exc:
+        return _usage_error(str(exc))
     for path in paths:
         print(path)
     n_failed = sum(1 for r in records if r.failed_stage is not None)

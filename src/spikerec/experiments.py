@@ -1,5 +1,5 @@
 """Experiment harness: the five benchmark presets, seeded noise sweeps
-with shared noise across methods, and CSV/JSON/plot-data reports.
+with shared noise across methods, and CSV and JSON reports.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class RunRecord:
 
 _NAMES = tuple(f.name for f in fields(RunRecord))
 CSV_COLUMNS = _NAMES[: _NAMES.index("wall_time_ms") + 1]
-REPORT_FORMATS = ("csv", "json", "plotdata")
+REPORT_FORMATS = ("csv", "json")
 
 
 def load_preset(
@@ -208,8 +208,8 @@ def _csv_cell(value) -> str:
 
 
 def emit_report(records, format: str, outdir, include_timing: bool = True) -> list:
-    """Write records as csv, json, or plotdata files; returns written paths."""
-    records = list(records)  # read once: plotdata and the empty check each read them
+    """Write records as `records.csv` or `records.json` under outdir; returns [path]."""
+    records = list(records)  # `not records` is False for any generator
     if not records:
         raise ValueError("no records to report")
     if format not in REPORT_FORMATS:
@@ -217,8 +217,6 @@ def emit_report(records, format: str, outdir, include_timing: bool = True) -> li
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        if format == "plotdata":
-            return _emit_plotdata(records, outdir)
         # vars(), not dataclasses.asdict: its deep copy doubles the JSON time
         objs = [vars(r) if include_timing else {**vars(r), "wall_time_ms": 0.0} for r in records]
         if format == "csv":
@@ -232,32 +230,6 @@ def emit_report(records, format: str, outdir, include_timing: bool = True) -> li
         return [path]
     except OSError as exc:
         raise OSError(f"failed writing report under {outdir}: {exc}") from exc
-
-
-def _emit_plotdata(records, outdir: Path) -> list:
-    paths = []
-    for pid in sorted({r.preset for r in records}):
-        path = outdir / f"{pid}_truth.dat"
-        lines = ["# loc_re loc_im weight_re weight_im"]
-        truth = load_preset(pid).truth
-        for x, w in zip(truth.locations, truth.weights):
-            lines.append(f"{x.real:.17g} {x.imag:.17g} {w.real:.17g} {w.imag:.17g}")
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    groups = {}
-    for r in records:
-        groups.setdefault((r.preset, r.sigma, r.method), []).append(r)
-    for (pid, sigma, method), recs in sorted(groups.items()):
-        # %g names the default sigmas; one it would round keeps all its digits
-        label = f"{sigma:g}" if float(f"{sigma:g}") == sigma else repr(sigma)
-        path = outdir / f"{pid}_sigma{label}_{method}.dat"
-        lines = ["# seed loc_re loc_im weight_re weight_im"]
-        for r in recs:
-            for loc, w in zip(r.locations, r.weights):
-                lines.append(f"{r.seed} {loc[0]:.17g} {loc[1]:.17g} {w[0]:.17g} {w[1]:.17g}")
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
 
 
 def make_method(name: str, n_x: int = 4, **settings) -> MethodConfig:

@@ -151,13 +151,11 @@ class CollocationNodes:
 
 @dataclass(frozen=True, eq=False)
 class Observations:
-    exact: np.ndarray
     noisy: np.ndarray
     sigma: float
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "exact", as_float(self.exact))
         object.__setattr__(self, "noisy", as_float(self.noisy))
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "seed", int(self.seed))
@@ -302,7 +300,7 @@ def add_noise(u: np.ndarray, sigma: float, rng_seed: int) -> Observations:
         raise ValueError(f"sigma must be finite and >= 0, not {sigma!r}")
     u = as_float(u)
     z = _rng(rng_seed, stream=1).standard_normal(u.size)
-    return Observations(exact=u, noisy=u * (1.0 + sigma * z), sigma=sigma, seed=rng_seed)
+    return Observations(noisy=u * (1.0 + sigma * z), sigma=sigma, seed=rng_seed)
 
 
 def build_collocation_system(

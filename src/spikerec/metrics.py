@@ -17,7 +17,6 @@ EXHAUSTIVE_LIMIT = 8
 class ErrorPair:
     location_error: float
     weight_error: float
-    matching: tuple  # matching[k] = index of recovered spike paired with truth k
 
 
 @cache
@@ -26,20 +25,20 @@ def _permutations(n: int) -> np.ndarray:
     return np.array(list(permutations(range(n))))
 
 
-def _best_permutation(truth_locs: np.ndarray, rec_locs: np.ndarray) -> tuple:
+def _best_permutation(truth_locs: np.ndarray, rec_locs: np.ndarray) -> np.ndarray:
+    """perm[k] = index of the recovered spike paired with truth k."""
     n = truth_locs.size
     cost = np.abs(truth_locs[:, None] - rec_locs[None, :]) ** 2
     if n <= EXHAUSTIVE_LIMIT:
         # all permutations in lexicographic order; argmin takes the first
         # minimum, so a tie keeps the earliest permutation
         perms = _permutations(n)
-        return tuple(perms[np.argmin(cost[np.arange(n), perms].sum(axis=1))].tolist())
+        return perms[np.argmin(cost[np.arange(n), perms].sum(axis=1))].copy()  # not the cache's row
     # scipy.optimize is imported here, its only use, to keep it (and its
     # import time) off `import spikerec`
     from scipy.optimize import linear_sum_assignment
 
-    _, cols = linear_sum_assignment(cost)
-    return tuple(int(c) for c in cols)
+    return linear_sum_assignment(cost)[1]
 
 
 def match_and_error(truth: SpikeSignal, recovered) -> ErrorPair:
@@ -54,7 +53,6 @@ def match_and_error(truth: SpikeSignal, recovered) -> ErrorPair:
     if rec_locs.size != truth.n_x or rec_wts.size != truth.n_x:
         raise ValueError(f"truth has {truth.n_x} spikes, recovery has {rec_locs.size}")
     perm = _best_permutation(truth.locations, rec_locs)
-    idx = np.asarray(perm)
-    loc_err = float(np.linalg.norm(truth.locations - rec_locs[idx]))
-    wt_err = float(np.linalg.norm(truth.weights - rec_wts[idx]))
-    return ErrorPair(location_error=loc_err, weight_error=wt_err, matching=perm)
+    loc_err = float(np.linalg.norm(truth.locations - rec_locs[perm]))
+    wt_err = float(np.linalg.norm(truth.weights - rec_wts[perm]))
+    return ErrorPair(location_error=loc_err, weight_error=wt_err)

@@ -307,9 +307,7 @@ class TestRecoverPipeline:
         cfg = MethodConfig(variant, n_x=4)
         r1 = recover(cfg, PreparedSystem(preset.kernel, samples, preset.nodes()), obs)
         c = 7.5
-        obs2 = Observations(
-            exact=obs.exact * c, noisy=obs.noisy * c, sigma=obs.sigma, seed=obs.seed
-        )
+        obs2 = Observations(noisy=obs.noisy * c, sigma=obs.sigma, seed=obs.seed)
         r2 = recover(cfg, PreparedSystem(preset.kernel, samples, preset.nodes()), obs2)
         np.testing.assert_allclose(
             np.sort_complex(r1.locations), np.sort_complex(r2.locations), rtol=1e-6
@@ -332,7 +330,7 @@ class TestRecoverPipeline:
         preset = load_preset("fourier")
         samples = preset.samples(0)
         zero = np.zeros(samples.n_s, dtype=complex)
-        obs = Observations(exact=zero, noisy=zero, sigma=0.0, seed=0)
+        obs = Observations(noisy=zero, sigma=0.0, seed=0)
         gamma = 1e-3 if variant is Variant.REGULARIZED_FIXED_GAMMA else None
         cfg = MethodConfig(variant, n_x=4, gamma=gamma)
         with pytest.raises(RankDeficient) as exc_info:

@@ -279,7 +279,7 @@ class TestRunOne:
         u = synthesize(p.kernel, p.truth, samples)
         u[3] = NAN
         prepared = PreparedSystem(p.kernel, samples, p.nodes())
-        rec = run_one(p, config, prepared, Observations(u, u, 0.0, 0))
+        rec = run_one(p, config, prepared, Observations(u, 0.0, 0))
         assert rec.failed_stage == stage
         assert rec.error.startswith(f"NonFinite: {message}")
 
@@ -294,7 +294,7 @@ class TestRunOne:
         config = make_method(method, gamma=0.1 if method == "fixed-gamma" else None)
         prepared = PreparedSystem(p.kernel, samples, p.nodes())
         with pytest.raises(ValueError, match=r"^obs.noisy must have shape \(128,\), not "):
-            run_one(p, config, prepared, Observations(u, u, 0.0, 0))
+            run_one(p, config, prepared, Observations(u, 0.0, 0))
 
     @pytest.mark.parametrize("method", ["lcurve", "pinv"])
     def test_programming_error_in_a_stage_propagates(self, monkeypatch, method):
@@ -616,18 +616,18 @@ class TestEmitReport:
     def test_numpy_seeds_and_integer_sigma(self, tmp_path):
         # records take the observation's int seed and float sigma, not the
         # caller's values: json cannot write a NumPy int64, and an integer
-        # sigma is written as a float in JSON and as before in CSV and plotdata
+        # sigma is written as a float in JSON and as before in CSV (the plot
+        # data leg is tests/test_plotdata.py's)
         p = load_preset("fourier")
         recs = run_sweep(p, [make_method("pinv")], seeds=np.arange(2), sigmas=[1])
         assert all(type(r.seed) is int and type(r.sigma) is float for r in recs)
-        for fmt in ("csv", "json", "plotdata"):
+        for fmt in ("csv", "json"):
             emit_report(recs, fmt, tmp_path / fmt, include_timing=False)
         objs = json.loads((tmp_path / "json" / "records.json").read_text())
         assert [o["seed"] for o in objs] == [0, 1]
         assert '"sigma": 1.0,' in (tmp_path / "json" / "records.json").read_text()
         rows = (tmp_path / "csv" / "records.csv").read_text().splitlines()[1:]
         assert [row[:16] for row in rows] == ["fourier,pinv,1,0", "fourier,pinv,1,1"]
-        assert (tmp_path / "plotdata" / "fourier_sigma1_pinv.dat").exists()
 
     def test_observations_built_with_numpy_scalars(self, tmp_path):
         # an Observations built by hand, not by add_noise, still gives a
@@ -636,7 +636,7 @@ class TestEmitReport:
         samples = p.samples(0)
         prepared = PreparedSystem(p.kernel, samples, p.nodes())
         obs = add_noise(synthesize(p.kernel, p.truth, samples), 0.01, 0)
-        obs = Observations(obs.exact, obs.noisy, np.float64(0.01), np.int64(0))
+        obs = Observations(obs.noisy, np.float64(0.01), np.int64(0))
         rec = run_one(p, make_method("pinv"), prepared, obs)
         assert type(rec.seed) is int and type(rec.sigma) is float
         emit_report([rec], "json", tmp_path, include_timing=False)
@@ -655,8 +655,9 @@ class TestEmitReport:
             assert obj["gamma_or_tol"] == rec.gamma_or_tol
             assert obj["locations"] == rec.locations
 
-    def test_plotdata_truth_readback(self, records, tmp_path):
-        paths = emit_report(records, "plotdata", tmp_path)
+    def test_plotdata_truth_readback(self, records, plot):
+        # the plot data is tools/plotdata.py's, written from records.json
+        paths = plot(records)
         truth_files = [p for p in paths if p.name.endswith("_truth.dat")]
         assert len(truth_files) == 1
         data = np.loadtxt(truth_files[0])
@@ -683,40 +684,41 @@ class TestEmitReport:
             emit_report((r for r in []), "csv", tmp_path / "d")
         assert not (tmp_path / "d").exists()
 
-    def test_plotdata_from_a_generator(self, records, tmp_path):
-        # plotdata reads the records twice: the truth files, then the data files
-        expected = [p.name for p in emit_report(records, "plotdata", tmp_path / "list")]
-        paths = emit_report((r for r in records), "plotdata", tmp_path / "gen")
-        assert [p.name for p in paths] == expected
-        assert len(expected) == 2
-
     def test_unknown_format(self, records, tmp_path):
         # rejected before anything is written, the directory included
         with pytest.raises(ValueError, match="unknown report format 'xml'"):
             emit_report(records, "xml", tmp_path / "d")
         assert not (tmp_path / "d").exists()
 
-    def test_plotdata_names_keep_sigmas_apart(self, tmp_path, capsys):
+    def test_plotdata_names_keep_sigmas_apart(self, plotdata_tool, tmp_path, capsys):
         # %g prints both sigmas as 0.1; each group still gets its own file
         argv = [
             "--preset", "fourier", "--method", "pinv", "--seeds", "1",
-            "--sigma", "0.1", "--sigma", "0.1000001", "--format", "plotdata",
-            "--out", str(tmp_path),
+            "--sigma", "0.1", "--sigma", "0.1000001", "--format", "json",
+            "--out", str(tmp_path / "report"),
         ]
         assert cli_main(argv) == 0
+        capsys.readouterr()
+        argv = [str(tmp_path / "report" / "records.json"), str(tmp_path / "plots")]
+        assert plotdata_tool.main(argv) == 0
         printed = capsys.readouterr().out.split()
         assert len(printed) == len(set(printed)) == 3
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
+        assert sorted(p.name for p in (tmp_path / "plots").iterdir()) == [
             "fourier_sigma0.1000001_pinv.dat", "fourier_sigma0.1_pinv.dat", "fourier_truth.dat",
         ]
 
     @pytest.mark.parametrize("pid", PRESET_IDS)
-    def test_plotdata_names_of_default_sigmas(self, pid, tmp_path):
-        # the default noise levels keep their %g names
+    def test_plotdata_names_of_default_sigmas(self, pid, plot):
+        # the default noise levels keep their %g names; a record without
+        # spikes (as a failed one) leaves its group the header line only
         sigmas = load_preset(pid).sigma_list
         recs = [experiments.RunRecord(pid, "pinv", sigma, 0) for sigma in sigmas]
-        names = {p.name for p in emit_report(recs, "plotdata", tmp_path)}
-        assert names == {f"{pid}_truth.dat"} | {f"{pid}_sigma{s:g}_pinv.dat" for s in sigmas}
+        paths = plot(recs)
+        assert {p.name for p in paths} == (
+            {f"{pid}_truth.dat"} | {f"{pid}_sigma{s:g}_pinv.dat" for s in sigmas})
+        for p in paths:
+            if not p.name.endswith("_truth.dat"):
+                assert p.read_text() == "# seed loc_re loc_im weight_re weight_im\n"
 
 
 # Values for every flag and config key: ints beyond the float range
@@ -948,6 +950,17 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(afile) in err
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_unwritable_report_exits_one(self, tmp_path, capsys, fmt):
+        # the sweep runs, then the report's path is a directory: one line, no traceback
+        (tmp_path / f"records.{fmt}").mkdir()
+        argv = ["--preset", "fourier", "--method", "pinv", "--seeds", "1", "--format", fmt]
+        assert cli_main(argv + ["--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: failed writing report under {tmp_path}: ")
+        assert captured.err.count("\n") == 1 and f"records.{fmt}" in captured.err
 
     def test_beta_flag_only_on_spectral(self, tmp_path, capsys):
         # only spectral's samples read beta, so elsewhere the flag would be

@@ -201,8 +201,7 @@ class TestAddNoise:
     def test_sigma_zero_exact(self):
         u = np.array([1.0 + 2.0j, -0.5, 3.0j])
         obs = add_noise(u, 0.0, 11)
-        assert np.array_equal(obs.noisy, obs.exact)
-        assert np.array_equal(obs.exact, u)
+        assert np.array_equal(obs.noisy, u)
 
     def test_determinism(self):
         u = np.ones(64, dtype=complex)
@@ -317,11 +316,10 @@ class TestDtypeRule:
         assert CollocationNodes(values).nodes.dtype == dtype
         signal = SpikeSignal(values, values)
         assert signal.locations.dtype == signal.weights.dtype == dtype
-        obs = Observations(values, values, 0.01, 0)
-        assert obs.exact.dtype == obs.noisy.dtype == dtype
+        assert Observations(values, 0.01, 0).noisy.dtype == dtype
 
     def test_observation_settings_are_python_numbers(self):
-        obs = Observations(np.ones(2), np.ones(2), np.float64(0.5), np.int64(3))
+        obs = Observations(np.ones(2), np.float64(0.5), np.int64(3))
         assert (type(obs.sigma), type(obs.seed)) == (float, int)
         assert (obs.sigma, obs.seed) == (0.5, 3)
 

@@ -37,7 +37,7 @@ def test_scaling_observations_scales_only_the_weights(preset_id, method, sigma_i
     u = synthesize(preset.kernel, preset.truth, samples)
     obs = add_noise(u, preset.sigma_list[sigma_index], seed)
     c = 2.0**k
-    scaled = Observations(c * obs.exact, c * obs.noisy, obs.sigma, obs.seed)
+    scaled = Observations(c * obs.noisy, obs.sigma, obs.seed)
     config = make_method(method)
     base = recover(config, prepared, obs)
     result = recover(config, prepared, scaled)
@@ -99,7 +99,7 @@ def test_permuting_samples_keeps_the_recovery(preset_id, method, sigma_index, se
     obs = add_noise(u, preset.sigma_list[sigma_index], seed)
     perm = np.random.default_rng(perm_seed).permutation(samples.n_s)
     moved = SampleSet(samples.points[perm])
-    moved_obs = Observations(obs.exact[perm], obs.noisy[perm], obs.sigma, obs.seed)
+    moved_obs = Observations(obs.noisy[perm], obs.sigma, obs.seed)
     config = make_method(method)
     base = recover(config, PreparedSystem(preset.kernel, samples, preset.nodes()), obs)
     result = recover(config, PreparedSystem(preset.kernel, moved, preset.nodes()), moved_obs)

@@ -6,10 +6,11 @@
 
 Each preset runs seeds 0-39 with the lcurve and pinv methods at its default
 noise levels, through the `recover` command line of the checkout this file
-sits in, with BLAS on one thread (ONE_BLAS_THREAD): the split of a product
-across threads moves its last bits.  A change that keeps the program's
-behaviour keeps every file byte-identical; `--compare` lists the files that
-differ and exits 1 if any does.
+sits in, once per format of its `REPORT_FORMATS` (today csv and json), with
+BLAS on one thread (ONE_BLAS_THREAD): the split of a product across threads
+moves its last bits.  A change that keeps the program's behaviour keeps
+every file byte-identical; `--compare` lists the files that differ and exits
+1 if any does.
 
 A change that moves floating-point round-off on purpose states a tolerance R
 and compares with `--rtol R` against the reference A written before it.  That
@@ -35,7 +36,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = 40
-FORMATS = ("csv", "json")
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -44,10 +44,11 @@ def write(outdir: Path) -> int:
     os.environ.update(ONE_BLAS_THREAD)
     sys.path.insert(0, str(ROOT / "src"))
     from spikerec.cli import main
+    from spikerec.experiments import REPORT_FORMATS
     from spikerec.kernels import PRESET_IDS
 
     for preset in PRESET_IDS:
-        for fmt in FORMATS:
+        for fmt in REPORT_FORMATS:
             argv = [
                 "--preset", preset, "--method", "lcurve", "--method", "pinv",
                 "--seeds", str(SEEDS), "--format", fmt, "--no-timing",
