@@ -4,16 +4,16 @@ Usage:
     recover --preset rational --method lcurve --method pinv \
             --sigma 0.1 --seeds 20 --out results --format csv
 
-Exit codes: 0 on success; 1 on a usage error (mostly the ValueError of
-load_preset, make_method or check_sweep) or a report that cannot be written;
-2 if any run failed numerically (a SpikerecError, filed as a failed record).
-Other exceptions propagate.
+Each setting comes only from its flag.  Exit codes: 0 on success; 1 on a
+usage error (a flag its runs would not read, or the ValueError of
+load_preset, make_method or check_sweep) or a report that cannot be
+written; 2 if any run failed numerically (a SpikerecError, filed as a
+failed record).  Other exceptions propagate.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,7 +22,6 @@ from .experiments import (
 )
 from .kernels import PRESET_IDS
 
-CONFIG_KEYS = frozenset(("n_s", "n_a", "beta", "sigma_list", "l", "tol_factor"))
 METHOD_FLAGS = (("gamma", "fixed-gamma"), ("tol_factor", "pinv"))
 
 
@@ -50,9 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-factor", type=float, help="pinv cutoff / Frobenius norm (default 1e-4)")
     p.add_argument("--gamma", type=float, help="Tikhonov gamma of fixed-gamma")
     p.add_argument("--beta", type=float, help="Matsubara beta (spectral)")
+    p.add_argument("--n-s", type=int, help="sample count (default: the preset's)")
+    p.add_argument("--n-a", type=int, help="collocation node count (default 32)")
     p.add_argument("--out", default="results")
     p.add_argument("--format", choices=REPORT_FORMATS, default="csv")
-    p.add_argument("--config", default=None, help="JSON file of settings; flags win over it")
     p.add_argument(
         "--no-timing",
         action="store_true",
@@ -68,25 +68,6 @@ def _usage_error(message: str) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, ValueError) as exc:  # undecodable text and 4300+ digit ints too
-            return _usage_error(f"cannot read config {args.config}: {exc}")
-        if not isinstance(overrides, dict):
-            return _usage_error(f"config {args.config} must hold a JSON object")
-        unknown = sorted(set(overrides) - CONFIG_KEYS)
-        if unknown:
-            return _usage_error(f"unknown config keys in {args.config}: {', '.join(unknown)}")
-        if None in overrides.values():
-            return _usage_error(f"config {args.config} has a null value")
-    flags = dict(beta=args.beta, l=args.l, tol_factor=args.tol_factor, sigma_list=args.sigma)
-    # a flag given on the command line wins; the library checks every value
-    method_args = {**overrides, **{k: v for k, v in flags.items() if v is not None}}
-    preset_args = {k: method_args.pop(k) for k in ("n_s", "n_a", "beta") if k in method_args}
-    sigmas = method_args.pop("sigma_list", None)
     seeds = args.seed_list if args.seed_list is not None else range(args.seeds)
     names = args.method or ["lcurve"]
     for key, method in METHOD_FLAGS:
@@ -94,12 +75,15 @@ def main(argv=None) -> int:
             return _usage_error(f"--{key.replace('_', '-')} is used only by --method {method}")
     if args.beta is not None and args.preset != "spectral":
         return _usage_error("--beta is used only by --preset spectral")
+    given = {k: v for k, v in vars(args).items() if v is not None}  # the rest keep defaults
+    preset_args = {k: given[k] for k in ("n_s", "n_a", "beta") if k in given}
+    method_args = {k: given[k] for k in ("l", "tol_factor") if k in given}
     try:
         preset = load_preset(args.preset, **preset_args)
         methods = [make_method(name, n_x=preset.truth.n_x, **method_args,
                                gamma=args.gamma if name == "fixed-gamma" else None)
                    for name in names]
-        methods, seeds, sigmas = check_sweep(preset, methods, seeds, sigmas)
+        methods, seeds, sigmas = check_sweep(preset, methods, seeds, args.sigma)
     except ValueError as exc:
         return _usage_error(str(exc))
     try:

@@ -1,13 +1,20 @@
 """The benchmark harness (perfbench/) and the tools (tools/) reach spikerec by
 name; a name the package drops would only fail when one of them runs.  The
-scripts are read with `ast`, not imported, as test_tracer_sites reads OBSERVE."""
+scripts are read with `ast`, not imported, as test_tracer_sites reads OBSERVE.
+The argument lists that the benchmark and the oracle hand to `recover` are
+built by their own code, loaded by file path, and must parse."""
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
+
+from spikerec.cli import build_parser
+from spikerec.experiments import REPORT_FORMATS
+from spikerec.kernels import PRESET_IDS
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("tools/*.py")])
@@ -79,3 +86,38 @@ def test_the_scan_sees_the_harness_reads():
 def test_harness_names_resolve(path, module, name):
     found = hasattr(importlib.import_module(module), name)
     assert found or importlib.util.find_spec(f"{module}.{name}"), f"{path}: no {module}.{name}"
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+WORKLOADS = _load(ROOT / "perfbench" / "workloads.py")
+ORACLE = _load(ROOT / "tools" / "oracle.py")
+
+
+@pytest.mark.parametrize(
+    "workload", sorted(n for n, w in WORKLOADS.WORKLOADS.items() if w.via_cli)
+)
+def test_benchmark_argv_parses(workload):
+    # the benchmark hands these to `recover`; a parser edit that rejected one
+    # would only show when the benchmark ran
+    w = WORKLOADS.WORKLOADS[workload]
+    for preset in w.presets:
+        args = build_parser().parse_args(w.cli_argv(preset, [0, 1], "out"))
+        assert (args.preset, args.method, args.seed_list) == (preset, list(w.methods), [0, 1])
+
+
+@pytest.mark.parametrize("fmt", REPORT_FORMATS)
+def test_oracle_argv_parses(fmt):
+    for preset in PRESET_IDS:
+        args = build_parser().parse_args(ORACLE.recover_argv(preset, fmt, Path("out")))
+        assert (args.preset, args.format, args.no_timing) == (preset, fmt, True)

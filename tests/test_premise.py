@@ -19,12 +19,16 @@ SPREAD_FLOOR = 1.5  # measured minimum 1.8
 LCURVE_CEILING = 2.0  # measured maximum 1.47
 
 
-@pytest.fixture(scope="module")
-def table():
+def _premise():
     spec = importlib.util.spec_from_file_location("premise", PREMISE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.table(range(20))
+    return module
+
+
+@pytest.fixture(scope="module")
+def table():
+    return _premise().table(range(20))
 
 
 def test_every_cell_of_the_five_presets(table):
@@ -45,3 +49,13 @@ def test_no_one_threshold_is_best_everywhere(table):
 def test_lcurve_stays_near_the_best_threshold(table):
     for pid, sigma, pinv, lcurve in table:
         assert lcurve <= LCURVE_CEILING * min(pinv.values()), (pid, sigma, pinv, lcurve)
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1", "200000"])
+def test_bad_seed_count_exits_one_before_the_table(seeds, capsys):
+    # check_sweep's message, not its traceback under a printed header
+    assert _premise().main(["--seeds", seeds]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "seed" in captured.err

@@ -39,6 +39,15 @@ SEEDS = 40
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
+def recover_argv(preset: str, fmt: str, outdir: Path) -> list:
+    """The `recover` arguments of one preset's report in format `fmt`."""
+    return [
+        "--preset", preset, "--method", "lcurve", "--method", "pinv",
+        "--seeds", str(SEEDS), "--format", fmt, "--no-timing",
+        "--out", str(outdir / preset),
+    ]
+
+
 def write(outdir: Path) -> int:
     # BLAS reads these when NumPy is first imported, which is below
     os.environ.update(ONE_BLAS_THREAD)
@@ -49,13 +58,8 @@ def write(outdir: Path) -> int:
 
     for preset in PRESET_IDS:
         for fmt in REPORT_FORMATS:
-            argv = [
-                "--preset", preset, "--method", "lcurve", "--method", "pinv",
-                "--seeds", str(SEEDS), "--format", fmt, "--no-timing",
-                "--out", str(outdir / preset),
-            ]
             # exit 2 (some runs failed) is behaviour the reports record
-            if main(argv) == 1:
+            if main(recover_argv(preset, fmt, outdir)) == 1:
                 return 1
     return 0
 

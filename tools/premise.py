@@ -24,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from spikerec import load_preset, make_method, run_sweep  # noqa: E402
+from spikerec import check_sweep, load_preset, make_method, run_sweep  # noqa: E402
 from spikerec.kernels import PRESET_IDS  # noqa: E402
 
 TOLERANCES = (1e-8, 1e-6, 1e-4, 1e-2)
@@ -55,6 +55,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, default=20, help="use seeds 0..N-1")
     args = p.parse_args(argv)
+    try:  # the sweeps' seed rule, before the table's first line
+        check_sweep(load_preset(PRESET_IDS[0]), [make_method("lcurve")], range(args.seeds))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     label = {t: f"{t:.0e}".replace("e-0", "e-") for t in TOLERANCES}  # 1e-8, not 1e-08
     heads = [f"pinv {label[t]}" for t in TOLERANCES]
     heads += ["lcurve", "best tol", "spread", "lcurve/best"]
