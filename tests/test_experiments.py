@@ -731,9 +731,9 @@ class TestEmitReport:
 # Values for every flag: ints beyond the float range (10**400) and far
 # beyond any array (2**70), NaN, the infinities, zero, negatives and a
 # string, beside valid settings.  Most texts parse, so that most draws
-# reach the library's checks.  `--seeds`
-# draws small counts and 2**70, which check_sweep's cap rejects before its
-# walk; `--beta` also draws 1e-310, whose Matsubara grid would overflow.
+# reach the library's checks.  `--seeds` draws small counts and 2**70,
+# which check_sweep's cap rejects before its walk; `--beta` also draws
+# 1e-310, whose Matsubara grid would overflow.
 _FUZZ_NUMBERS = (str(10**400), str(2**70), "1e400", "nan", "inf", "-inf", "0", "-1", "x")
 _FUZZ_FLOATS = _FUZZ_NUMBERS + ("1e-3", "0.01", "5")
 _FUZZ_INTS = _FUZZ_NUMBERS + ("3", "5", "32")
