@@ -13,33 +13,43 @@ from pathlib import Path
 import numpy as np
 
 from .eigenmatrix import MethodConfig, PreparedSystem, Variant, recover
-from .errors import SpikerecError
+from .errors import SpikerecError, UnknownPreset
 from .kernels import (
-    DEFAULT_BETA,
-    MAX_ARRAY_BYTES,
+    PRESET_IDS,
+    PRESETS,
     CollocationNodes,
     KernelDescriptor,
     Observations,
     SampleSet,
     SpikeSignal,
+    _matsubara,
     add_noise,
     generate_samples,
     is_finite,
     is_integer,
-    preset_row,
     synthesize,
 )
 from .metrics import match_and_error
 
 _NAN = float("nan")
+# Matsubara scale for the spectral preset; no published value exists, and
+# this default keeps the error-vs-noise trend monotone across the benchmark
+# noise levels.  Overridable with `--beta`.
+DEFAULT_BETA = 40.0
+MAX_ARRAY_BYTES = 2**30  # caps complex G and pinv's M: 16 n_s max(n_s, n_a) bytes
 MAX_SWEEP_ENTRIES = 10**5  # check_sweep's cap on each argument's length
 
 
 @dataclass(frozen=True)
 class ExperimentPreset:
     """Row `id` of `kernels.PRESETS` at a caller's `n_s` (None: the row's), `n_a` and `beta`,
-    checked by `preset_row`, n_a >= n_x (rank(A) <= n_a) and MAX_ARRAY_BYTES on complex G.
-    It equals and hashes by those four; `kernel`, `truth`, `sigma_list`: the row's, not settable."""
+    the row's one reader and checker.  It equals and hashes by those four; `kernel`, `truth`
+    and `sigma_list` are the row's, not settable.  Building it raises UnknownPreset for an
+    unknown id, and ValueError for an `n_s` or `n_a` not an integer >= n_x (ESPRIT needs n_x
+    sample rows; rank(A) <= n_a), an odd spectral `n_s` (its grid is +/- pairs), more than
+    MAX_ARRAY_BYTES in complex G or pinv's M (16 n_s max(n_s, n_a) bytes), or a `beta` not
+    finite and > 0 or overflowing the top Matsubara frequency (n_s - 1) pi / beta, taken as
+    NumPy's complex division takes it (times 1 / beta), so that the rule and the grid agree."""
 
     id: str
     n_s: int | None
@@ -50,12 +60,22 @@ class ExperimentPreset:
     sigma_list: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        kernel, locs, n_s, sigmas, _ = preset_row(self.id, self.n_s, self.beta)
-        if not (is_integer(self.n_a) and self.n_a >= len(locs)):
-            raise ValueError(f"n_a must be an integer >= {len(locs)} (n_x), not {self.n_a!r}")
-        if 16 * n_s * self.n_a > MAX_ARRAY_BYTES:
+        if self.id not in PRESET_IDS:  # a tuple, so an unhashable id is unknown too
+            raise UnknownPreset(f"unknown preset {self.id!r}")
+        kernel, locs, default_n_s, sigmas, draw = PRESETS[self.id]
+        n_s = default_n_s if self.n_s is None else self.n_s
+        for name, value in (("n_s", n_s), ("n_a", self.n_a)):
+            if not (is_integer(value) and value >= len(locs)):
+                raise ValueError(f"{name} must be an integer >= {len(locs)} (n_x), not {value!r}")
+        if draw is _matsubara and n_s % 2:
+            raise ValueError(f"the spectral preset needs an even n_s, not {n_s!r}")
+        if 16 * n_s * max(n_s, self.n_a) > MAX_ARRAY_BYTES:
             raise ValueError(f"n_s = {n_s} and n_a = {self.n_a} exceed the array cap "
-                             f"16 * n_s * n_a <= {MAX_ARRAY_BYTES} bytes")
+                             f"16 * n_s * max(n_s, n_a) <= {MAX_ARRAY_BYTES} bytes")
+        if not (is_finite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and > 0, not {self.beta!r}")
+        if not is_finite((n_s - 1) * np.pi * (1 / float(self.beta))):
+            raise ValueError(f"beta = {self.beta!r} overflows (n_s - 1) * pi / beta at n_s = {n_s}")
         truth = SpikeSignal(locs, np.ones(len(locs)))
         # frozen: the row's values go past the dataclass's __setattr__
         vars(self).update(n_s=n_s, kernel=kernel, truth=truth, sigma_list=sigmas)
@@ -64,7 +84,7 @@ class ExperimentPreset:
         return self.kernel.domain.nodes(self.n_a)
 
     def samples(self, seed: int) -> SampleSet:
-        return generate_samples(self.id, seed, beta=self.beta, n_s=self.n_s)
+        return generate_samples(self, seed)
 
 
 @dataclass

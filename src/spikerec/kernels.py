@@ -4,9 +4,9 @@ Covers the five benchmark problems: rational approximation on the unit
 disk, spectral function approximation on a Matsubara grid, Fourier
 inversion, Laplace inversion, and sparse deconvolution.  The table
 `PRESETS` holds each one's kernel, truth, sample count, noise levels and
-sample law, and `preset_row` alone reads and checks it.  All routines are
-pure functions of their arguments (seeds included), so they are safe to
-call concurrently.
+sample law, and `experiments.ExperimentPreset` alone reads and checks a row.
+All routines are pure functions of their arguments (seeds included), so they
+are safe to call concurrently.
 
 Arrays keep the type of their data: real input becomes float64 and complex
 input complex128 (`as_float`), so the real kernels (Laplace, deconvolution)
@@ -25,14 +25,9 @@ import numpy as np
 # put its import cost inside the first record's timing.
 from numpy.random import Generator, SeedSequence, default_rng
 
-from .errors import DegenerateColumn, DomainError, UnknownPreset
+from .errors import DegenerateColumn, DomainError
 
-# Matsubara scale for the spectral preset; no published value exists, and
-# this default keeps the error-vs-noise trend monotone across the benchmark
-# noise levels.  Overridable via config/CLI.
-DEFAULT_BETA = 40.0
 FLOAT_MAX = float(np.finfo(np.float64).max)
-MAX_ARRAY_BYTES = 2**30  # caps pinv's M, 16 n_s^2 bytes, and complex G, 16 n_s n_a
 
 
 class Kind(Enum):
@@ -67,8 +62,9 @@ class Domain:
         return CollocationNodes(self.lo + (self.hi - self.lo) * (ref + 1.0) / 2.0)
 
     def project(self, raw: np.ndarray) -> np.ndarray:
-        """Recovered locations as points of X: `raw` itself on the disk; on an
-        interval its real parts clamped to [lo, hi], the imaginary parts dropped."""
+        """Recovered locations: on the disk `raw` itself, unchanged, so a point
+        may lie outside X; on an interval the real parts clamped to [lo, hi],
+        the imaginary parts dropped."""
         if self.kind == "disk":
             return raw
         return np.clip(raw.real, self.lo, self.hi)
@@ -253,38 +249,12 @@ PRESETS = {
 PRESET_IDS = tuple(PRESETS)
 
 
-def preset_row(id: str, n_s: int | None = None, beta: float = DEFAULT_BETA) -> tuple:
-    """`PRESETS[id]` with its default n_s replaced by `n_s` if given.  Raises
-    UnknownPreset for an id not in the table, and ValueError for an `n_s`
-    not an integer >= n_x (ESPRIT needs n_x sample rows), an odd `n_s` on
-    spectral (its grid is +/- pairs), an `n_s` whose pinv M (16 n_s^2 bytes)
-    exceeds MAX_ARRAY_BYTES, a `beta` not finite and > 0, or one that
-    overflows the top Matsubara frequency (n_s - 1) pi / beta (times 1 / beta,
-    as NumPy's complex division takes it, so the rule and the grid agree)."""
-    if id not in PRESET_IDS:  # a tuple, so an unhashable id is unknown too
-        raise UnknownPreset(f"unknown preset {id!r}")
-    kernel, locs, default_n_s, sigmas, draw = PRESETS[id]
-    n_s = default_n_s if n_s is None else n_s
-    if not (is_integer(n_s) and n_s >= len(locs)):
-        raise ValueError(f"n_s must be an integer >= {len(locs)} (n_x), not {n_s!r}")
-    if draw is _matsubara and n_s % 2:
-        raise ValueError(f"the spectral preset needs an even n_s, not {n_s!r}")
-    if 16 * n_s * n_s > MAX_ARRAY_BYTES:
-        raise ValueError(f"n_s = {n_s} exceeds the array cap 16 n_s^2 <= {MAX_ARRAY_BYTES} bytes")
-    if not (is_finite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and > 0, not {beta!r}")
-    if not (is_finite(n_s - 1) and is_finite(float(n_s - 1) * np.pi * (1 / float(beta)))):
-        raise ValueError(f"beta = {beta!r} overflows (n_s - 1) * pi / beta at n_s = {n_s}")
-    return kernel, locs, n_s, sigmas, draw
-
-
-def generate_samples(
-    preset: str, rng_seed: int, beta: float = DEFAULT_BETA, n_s: int | None = None
-) -> SampleSet:
-    """Sample points drawn by the preset's law in `PRESETS`; the spectral
-    grid ignores the seed.  `preset_row` checks the arguments."""
-    _, _, n, _, draw = preset_row(preset, n_s, beta)
-    return SampleSet(draw(_rng(rng_seed, stream=0), n, beta))
+def generate_samples(preset, rng_seed: int) -> SampleSet:
+    """Sample points of a built `experiments.ExperimentPreset`: its row's law in
+    `PRESETS` drawn at its `n_s` and `beta`; the spectral grid ignores the seed.
+    Checks nothing: the preset checked its settings when it was built."""
+    draw = PRESETS[preset.id][4]
+    return SampleSet(draw(_rng(rng_seed, stream=0), preset.n_s, preset.beta))
 
 
 def synthesize(kernel: KernelDescriptor, signal: SpikeSignal, samples: SampleSet) -> np.ndarray:

@@ -30,7 +30,7 @@ from spikerec import (
 )
 from spikerec.cli import build_parser, main as cli_main
 from spikerec.errors import ConvergenceFailure, FlatCurveWarning, UnknownPreset
-from spikerec.kernels import PRESET_IDS, Observations, SampleSet
+from spikerec.kernels import PRESET_IDS, PRESETS, Observations, SampleSet
 from spikerec.experiments import REPORT_FORMATS, emit_report
 
 NAN = float("nan")
@@ -50,7 +50,8 @@ class TestLoadPreset:
         # n_s was resolved to pid's count, and sampling follows other's law
         assert relabelled.n_s == load_preset(pid).n_s
         np.testing.assert_array_equal(
-            relabelled.samples(3).points, generate_samples(other, 3, n_s=relabelled.n_s).points
+            relabelled.samples(3).points,
+            generate_samples(load_preset(other, n_s=relabelled.n_s), 3).points,
         )
 
     def test_caller_sets_four_fields(self):
@@ -104,7 +105,7 @@ class TestLoadPreset:
          (128, 2**19, True), (128, 2**19 + 1, False)],
     )
     def test_array_cap_is_16_n_s_max_n_s_n_a(self, n_s, n_a, admitted):
-        # preset_row caps pinv's n_s x n_s M and the preset complex G, n_s x n_a
+        # ExperimentPreset caps pinv's n_s x n_s M and the complex G, n_s x n_a, in one rule
         if admitted:
             assert load_preset("fourier", n_s=n_s, n_a=n_a).n_s == n_s
         else:
@@ -113,8 +114,11 @@ class TestLoadPreset:
 
     @pytest.mark.parametrize("pid", PRESET_IDS)
     def test_default_n_s_has_one_owner(self, pid):
-        # kernels.PRESETS: the sampler's default is the preset's
-        assert generate_samples(pid, 0).n_s == load_preset(pid).n_s
+        # kernels.PRESETS: the row's count is the preset's and its samples'
+        preset = load_preset(pid)
+        samples = generate_samples(preset, 0)
+        assert samples.n_s == preset.n_s == PRESETS[pid][2]
+        np.testing.assert_array_equal(samples.points, preset.samples(0).points)
 
     @pytest.mark.parametrize(
         "pid, n_s, beta, bad",
@@ -139,9 +143,13 @@ class TestLoadPreset:
         ],
     )
     def test_preset_rules_have_one_owner(self, pid, n_s, beta, bad):
-        # load_preset and generate_samples share kernels.preset_row's checks
+        # load_preset and dataclasses.replace, the other way to build a preset,
+        # both run ExperimentPreset's checks
+        def replaced(pid, beta, n_s):
+            return dataclasses.replace(load_preset("fourier"), id=pid, beta=beta, n_s=n_s)
+
         errors = []
-        for build in (load_preset, lambda pid, *rest: generate_samples(pid, 0, *rest)):
+        for build in (load_preset, replaced):
             with pytest.raises((UnknownPreset, ValueError)) as info:
                 build(pid, beta, n_s)
             errors.append((type(info.value), str(info.value)))

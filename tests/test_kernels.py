@@ -12,10 +12,10 @@ from spikerec import (
     add_noise,
     build_collocation_system,
     eval_kernel,
-    generate_samples,
+    load_preset,
     synthesize,
 )
-from spikerec.errors import DegenerateColumn, DomainError, UnknownPreset
+from spikerec.errors import DegenerateColumn, DomainError
 from spikerec import kernels
 from spikerec.kernels import CollocationNodes, Observations
 
@@ -93,58 +93,54 @@ class TestGrids:
 class TestGenerateSamples:
     def test_matsubara_first_pair(self):
         beta = 37.0
-        pts = generate_samples("spectral", 0, beta=beta).points
+        pts = load_preset("spectral", beta=beta).samples(0).points
         assert np.min(np.abs(pts - 1j * np.pi / beta)) < 1e-15
         assert np.min(np.abs(pts + 1j * np.pi / beta)) < 1e-15
         assert pts.size == 256
 
     def test_rational_moduli(self):
-        pts = generate_samples("rational", 123).points
+        pts = load_preset("rational").samples(123).points
         assert pts.size == 40
         assert np.all((np.abs(pts) >= 1.2) & (np.abs(pts) <= 2.2))
 
     @pytest.mark.parametrize("preset", ["rational", "spectral", "fourier", "laplace", "deconv"])
     def test_determinism(self, preset):
-        a = generate_samples(preset, 42).points
-        b = generate_samples(preset, 42).points
+        a = load_preset(preset).samples(42).points
+        b = load_preset(preset).samples(42).points
         np.testing.assert_array_equal(a, b)
 
     def test_fourier_range_and_count(self):
-        pts = generate_samples("fourier", 7).points
+        pts = load_preset("fourier").samples(7).points
         assert pts.size == 128
         assert np.all((pts.real >= -5) & (pts.real <= 5))
         assert np.all(pts.imag == 0)
 
     def test_laplace_range_and_count(self):
-        pts = generate_samples("laplace", 7).points
+        pts = load_preset("laplace").samples(7).points
         assert pts.size == 100
         assert np.all((pts.real >= 0) & (pts.real <= 10))
-
-    def test_unknown_preset(self):
-        with pytest.raises(UnknownPreset):
-            generate_samples("bogus", 0)
 
     @pytest.mark.parametrize("preset", ["rational", "spectral", "fourier", "laplace", "deconv"])
     @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_bad_beta(self, preset, beta):
         # unchecked, beta = 0 gives nan+infj points with only a RuntimeWarning
         with pytest.raises(ValueError, match=f"^beta must be finite and > 0, not {beta!r}$"):
-            generate_samples(preset, 0, beta=beta)
+            load_preset(preset, beta=beta)
 
     def test_matsubara_overflow_boundary(self):
         # at n_s = 256 the top frequency 255 pi / beta passes the float64
         # maximum between these two betas; below it the grid would be infinite
         message = r"^beta = 4.4e-306 overflows \(n_s - 1\) \* pi / beta at n_s = 256$"
         with pytest.raises(ValueError, match=message):
-            generate_samples("spectral", 0, beta=4.4e-306)
-        top = np.abs(generate_samples("spectral", 0, beta=4.5e-306).points).max()
+            load_preset("spectral", beta=4.4e-306)
+        top = np.abs(load_preset("spectral", beta=4.5e-306).samples(0).points).max()
         assert np.isfinite(top) and top == pytest.approx(1.78e308, rel=1e-3)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(half=st.integers(2, 4096), ulps=st.integers(-3, 3))
     def test_matsubara_rule_is_the_grid(self, half, ulps):
-        # preset_row takes the top frequency as NumPy's complex division does,
-        # so at every beta near the overflow it accepts exactly the finite grids
+        # ExperimentPreset takes the top frequency as NumPy's complex division
+        # does, so at every beta near the overflow it accepts exactly the finite grids
         n_s = 2 * half
         beta = (n_s - 1) * np.pi / np.finfo(np.float64).max
         for _ in range(abs(ulps)):
@@ -152,7 +148,7 @@ class TestGenerateSamples:
         with np.errstate(over="ignore", invalid="ignore"):
             finite = bool(np.isfinite(kernels._matsubara(None, n_s, beta)).all())
         try:
-            generate_samples("spectral", 0, beta=beta, n_s=n_s)
+            load_preset("spectral", beta=beta, n_s=n_s).samples(0)
         except ValueError as exc:
             assert not finite and "overflows" in str(exc)
         else:
@@ -230,7 +226,7 @@ class TestAddNoise:
 
 class TestCollocationSystem:
     def test_unit_column_norms(self):
-        samples = generate_samples("fourier", 0)
+        samples = load_preset("fourier").samples(0)
         nodes = Domain("interval", -1, 1).nodes(32)
         sys_ = build_collocation_system(FOURIER, samples, nodes)
         np.testing.assert_allclose(
@@ -244,7 +240,7 @@ class TestCollocationSystem:
         np.testing.assert_allclose(sys_.normalized, [[1.0]])
 
     def test_norms_reconstruct_matrix(self):
-        samples = generate_samples("rational", 17)
+        samples = load_preset("rational").samples(17)
         nodes = UNIT_DISK.nodes(32)
         sys_ = build_collocation_system(RATIONAL, samples, nodes)
         G = eval_kernel(RATIONAL, samples.points[:, None], nodes.nodes[None, :])
@@ -347,7 +343,7 @@ class TestDtypeRule:
          ("laplace", np.float64), ("deconv", np.float64)],
     )
     def test_sample_points(self, preset, dtype):
-        assert generate_samples(preset, 0).points.dtype == dtype
+        assert load_preset(preset).samples(0).points.dtype == dtype
 
     def test_nodes(self):
         assert Domain("interval", 0.1, 2.1).nodes(8).nodes.dtype == np.float64

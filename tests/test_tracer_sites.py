@@ -2,6 +2,9 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,43 @@ def test_per_layer_names_are_span_names():
     wanted.discard("kernels.observe")  # the sum of OBSERVE's spans
     wanted.update(_observe_names())
     assert sorted(wanted - _span_names()) == []
+
+
+# One seed of every preset with lcurve and pinv at its middle sigma, then one
+# `recover` call, under the tracer the benchmark installs; prints the span names
+_TRACED_PASS = """
+import importlib.util, json, sys
+import spikerec.cli, spikerec.experiments as ex
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+tracer = tracer_module.Tracer()
+tracer.install()
+for pid in spikerec.kernels.PRESET_IDS:
+    preset = ex.load_preset(pid)
+    methods = [ex.make_method("lcurve"), ex.make_method("pinv")]
+    ex.run_sweep(preset, methods, [0], sigmas=[preset.sigma_list[1]])
+argv = ["--preset", "fourier", "--method", "pinv", "--seeds", "1", "--format", "json",
+        "--no-timing", "--out", sys.argv[2]]
+assert spikerec.cli.main(argv) == 0
+print(json.dumps(sorted({span[0] for span in tracer.spans})))
+"""
+
+
+def test_traced_pass_records_every_named_span(tmp_path):
+    # the names above only have to resolve; this runs the traced pass itself,
+    # so a probe that reads a moved attribute, or a layer whose caller stops
+    # reaching it through the traced name, fails here and not in the benchmark
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_PASS, str(TRACER), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = set(json.loads(proc.stdout.splitlines()[-1]))
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    wanted = {m["name"].rsplit(".", 1)[0] for m in per_layer if m["name"].count(".") == 2}
+    wanted.discard("kernels.observe")  # the sum of OBSERVE's spans
+    wanted.update(_observe_names())
+    assert sorted(wanted - spans) == []
