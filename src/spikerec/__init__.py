@@ -14,7 +14,6 @@ from .eigenmatrix import (
 )
 from .kernels import (
     CollocationNodes,
-    CollocationSystem,
     Domain,
     KernelDescriptor,
     Kind,

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import IllConditionedShiftWarning, NonFinite, RankDeficient, SpikerecError
 from .kernels import (
     CollocationNodes,
-    CollocationSystem,
     KernelDescriptor,
     Observations,
     SampleSet,
@@ -75,9 +74,9 @@ class MethodConfig:
 @dataclass(frozen=True, eq=False)
 class PreparedSystem:
     """What depends only on the sample set, shared by every sigma and method:
-    the collocation system, the SVD of its normalized matrix, the L-curve
-    table of those factors (`SvdFactors.lcurve_table`), and pinv's tolerance
-    and eigenmatrix M per `tol_factor`.
+    G-hat (`normalized`), its SVD (`factors`), the L-curve table of those
+    factors (`SvdFactors.lcurve_table`), and pinv's tolerance and
+    eigenmatrix M per `tol_factor`.
 
     Constructing one builds nothing.  The first `recover` that needs a piece
     builds it, in that call's stage and timing; a build that raises is not
@@ -90,12 +89,12 @@ class PreparedSystem:
     _pieces: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
-    def system(self) -> CollocationSystem:
+    def normalized(self) -> np.ndarray:
         return build_collocation_system(self.kernel, self.samples, self.nodes)
 
     @cached_property
     def factors(self) -> SvdFactors:
-        return compute_svd(self.system.normalized)
+        return compute_svd(self.normalized)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,12 +109,15 @@ class RecoveryResult:
     svd_gap: float
 
 
-def build_eigenmatrix(system: CollocationSystem, tol: float, factors: SvdFactors) -> np.ndarray:
-    """The n_s x n_s matrix M = G-hat Lambda G-hat^dagger, with the
-    pseudo-inverse truncated at tol; `factors` is the SVD of `system.normalized`."""
+def build_eigenmatrix(
+    normalized: np.ndarray, nodes: np.ndarray, tol: float, factors: SvdFactors
+) -> np.ndarray:
+    """M = G-hat Lambda G-hat^dagger (n_s x n_s) for G-hat = `normalized` and
+    Lambda = diag(`nodes`), the pseudo-inverse truncated at tol from
+    `factors`, the SVD of G-hat."""
     left, s, right = truncate(factors, tol)
     pinv = (right / s) @ left.conj().T
-    return system.normalized @ (system.nodes[:, None] * pinv)
+    return normalized @ (nodes[:, None] * pinv)
 
 
 def krylov_original(M: np.ndarray, u_noisy: np.ndarray, l: int) -> np.ndarray:
@@ -131,18 +133,19 @@ def krylov_original(M: np.ndarray, u_noisy: np.ndarray, l: int) -> np.ndarray:
 
 
 def krylov_regularized(
-    system: CollocationSystem, v: np.ndarray, u_noisy: np.ndarray, l: int
+    normalized: np.ndarray, nodes: np.ndarray, v: np.ndarray, u_noisy: np.ndarray, l: int
 ) -> np.ndarray:
-    """A = [u, G-hat Lambda v, ..., G-hat Lambda^l v], diagonal powers on v."""
+    """A = [u, G-hat Lambda v, ..., G-hat Lambda^l v] for G-hat = `normalized`
+    and Lambda = diag(`nodes`), diagonal powers on v."""
     if l < 1:
         raise ValueError("l must be >= 1")
     p = as_float(v)
-    if p.size != system.n_a:
+    if p.size != nodes.size:
         raise ValueError("v must have length n_a")
     cols = [as_float(u_noisy)]
     for _ in range(l):
-        p = system.nodes * p
-        cols.append(system.normalized @ p)
+        p = nodes * p
+        cols.append(normalized @ p)
     return np.column_stack(cols)
 
 
@@ -210,14 +213,14 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
         raise ValueError(f"obs.noisy must have shape ({prepared.samples.n_s},), not {u.shape}")
     stage = "collocation"
     try:
-        system = prepared.system
+        normalized, nodes = prepared.normalized, prepared.nodes.nodes
         stage = "svd"
         factors = prepared.factors
         stage = "eigenmatrix"
         if config.variant is Variant.ORIGINAL_PINV:
             if config.tol_factor not in pieces:
-                tol = config.tol_factor * float(np.linalg.norm(system.normalized, "fro"))
-                M = build_eigenmatrix(system, tol, factors)
+                tol = config.tol_factor * float(np.linalg.norm(normalized, "fro"))
+                M = build_eigenmatrix(normalized, nodes, tol, factors)
                 M.setflags(write=False)  # shared by every later pinv record
                 pieces[config.tol_factor] = tol, M
             tol, M = pieces[config.tol_factor]
@@ -231,7 +234,7 @@ def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -
             else:
                 sol = tikhonov_solve(factors, u, config.gamma)
             stage = "krylov"
-            A = krylov_regularized(system, sol.v, u, config.l)
+            A = krylov_regularized(normalized, nodes, sol.v, u, config.l)
             gamma_or_tol = sol.gamma
         stage = "esprit"
         raw, cond_minus, gap = esprit_extract(A, config.n_x)

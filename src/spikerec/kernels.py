@@ -157,22 +157,6 @@ class Observations:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True, eq=False)
-class CollocationSystem:
-    """G-hat, the column-normalized G = [g(s_j, a_t)], and the node diagonal."""
-
-    normalized: np.ndarray  # G-hat, n_s x n_a, unit 2-norm columns
-    nodes: np.ndarray  # diagonal of Lambda
-
-    @property
-    def n_s(self) -> int:
-        return self.normalized.shape[0]
-
-    @property
-    def n_a(self) -> int:
-        return self.normalized.shape[1]
-
-
 def as_float(a) -> np.ndarray:
     """`a` as a float64 array if it is real (integers included), complex128
     if it is complex; a 0-d input stays 0-d."""
@@ -275,11 +259,11 @@ def add_noise(u: np.ndarray, sigma: float, rng_seed: int) -> Observations:
 
 def build_collocation_system(
     kernel: KernelDescriptor, samples: SampleSet, nodes: CollocationNodes
-) -> CollocationSystem:
-    """Assemble G and normalize its columns to unit 2-norm; a zero column
-    raises DegenerateColumn."""
+) -> np.ndarray:
+    """G-hat: G = [g(s_j, a_t)], n_s x n_a, with its columns normalized to
+    unit 2-norm; a zero column raises DegenerateColumn."""
     G = eval_kernel(kernel, samples.points[:, None], nodes.nodes[None, :])
     norms = np.linalg.norm(G, axis=0)
     if np.any(norms == 0):
         raise DegenerateColumn("collocation matrix has a zero column")
-    return CollocationSystem(normalized=G / norms, nodes=nodes.nodes.copy())
+    return G / norms

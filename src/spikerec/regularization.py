@@ -104,11 +104,12 @@ def truncated_pinv_apply(factors: SvdFactors, tol: float, rhs: np.ndarray) -> np
 def _project(factors: SvdFactors, rhs: np.ndarray) -> tuple:
     """(beta = U^H rhs, a = |beta|^2, perp_sq = ||rhs||^2 - sum(a), the squared
     norm of rhs's part outside the range of U, and ||rhs||); NonFinite for a
-    rhs with a NaN or infinite entry."""
+    rhs with a NaN or infinite entry, or whose 2-norm overflows."""
     rhs = as_float(rhs)
-    norm = np.linalg.norm(rhs)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(rhs)
     if not norm < np.inf:  # False for NaN
-        raise NonFinite(f"rhs must be finite-valued, not of norm {norm}")
+        raise NonFinite(f"rhs must have a finite 2-norm, not {norm}")
     beta = factors.left.conj().T @ rhs
     a = np.abs(beta) ** 2
     return beta, a, max(float(norm**2 - a.sum()), 0.0), norm

@@ -30,7 +30,7 @@ from spikerec import (
     tikhonov_solve,
 )
 from spikerec.cli import main as cli_main
-from spikerec.kernels import PRESET_IDS, CollocationSystem
+from spikerec.kernels import PRESET_IDS
 from spikerec.regularization import lcurve_select
 
 N_SEEDS = 20
@@ -51,7 +51,7 @@ def _random_system(rng, n_s, n_a):
     B = _randc(rng, (n_s, n_a))
     B /= np.linalg.norm(B, axis=0)
     nodes = rng.uniform(-1, 1, n_a) + 1j * rng.uniform(-1, 1, n_a)
-    return CollocationSystem(normalized=B, nodes=nodes)
+    return B, nodes
 
 
 @pytest.fixture(scope="session")
@@ -82,13 +82,13 @@ def test_criterion_1_exact_algebra_identities():
     worst_fact = 0.0
     for n_s, n_a in ((40, 32), (256, 32), (128, 32), (100, 32), (128, 32)):
         for _ in range(100):
-            sys_ = _random_system(rng, n_s, n_a)
+            B, nodes = _random_system(rng, n_s, n_a)
             v = _randc(rng, n_a)
             u = _randc(rng, n_s)
             l = 9
-            A = krylov_regularized(sys_, v, u, l)
-            powers = sys_.nodes[:, None] ** np.arange(1, l + 1)
-            expected = sys_.normalized @ (v[:, None] * powers)
+            A = krylov_regularized(B, nodes, v, u, l)
+            powers = nodes[:, None] ** np.arange(1, l + 1)
+            expected = B @ (v[:, None] * powers)
             rel = np.linalg.norm(A[:, 1:] - expected) / np.linalg.norm(expected)
             worst_fact = max(worst_fact, rel)
     # Tikhonov filter solution against a dense normal-equation solve,
@@ -120,14 +120,14 @@ def test_criterion_2_operator_free_equivalence():
     worst = 0.0
     for _ in range(50):
         n_a = int(rng.integers(3, 9))
-        sys_ = _random_system(rng, 4 * n_a, n_a)
-        assert np.linalg.cond(sys_.normalized) <= 1e3
+        B, nodes = _random_system(rng, 4 * n_a, n_a)
+        assert np.linalg.cond(B) <= 1e3
         u = _randc(rng, 4 * n_a)
-        v = np.linalg.lstsq(sys_.normalized, u, rcond=None)[0]
-        M = build_eigenmatrix(sys_, 1e-8, compute_svd(sys_.normalized))
+        v = np.linalg.lstsq(B, u, rcond=None)[0]
+        M = build_eigenmatrix(B, nodes, 1e-8, compute_svd(B))
         l = n_a + 3
         A1 = krylov_original(M, u, l)
-        A2 = krylov_regularized(sys_, v, u, l)
+        A2 = krylov_regularized(B, nodes, v, u, l)
         worst = max(worst, np.linalg.norm(A1 - A2) / np.linalg.norm(A2))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 5.0
@@ -217,10 +217,10 @@ def test_criterion_6_error_decreases_with_noise(sweeps):
 
 def _steep_decay_singular_values():
     preset = load_preset("laplace")
-    system = build_collocation_system(
+    normalized = build_collocation_system(
         preset.kernel, preset.samples(0), preset.nodes()
     )
-    return np.linalg.svd(system.normalized, compute_uv=False)
+    return np.linalg.svd(normalized, compute_uv=False)
 
 
 @pytest.mark.xfail(
@@ -260,10 +260,10 @@ def test_criterion_8_regularization_solver_properties():
         for sigma in (1e-1, 1e-2):
             for seed in range(N_SEEDS):
                 samples = preset.samples(seed)
-                system = build_collocation_system(
+                normalized = build_collocation_system(
                     preset.kernel, samples, preset.nodes()
                 )
-                factors = compute_svd(system.normalized)
+                factors = compute_svd(normalized)
                 obs = add_noise(
                     synthesize(preset.kernel, preset.truth, samples), sigma, seed
                 )

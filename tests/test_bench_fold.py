@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 BENCH_FOLD = Path(__file__).resolve().parents[1] / "tools" / "bench_fold.py"
 METRICS = ("setup_s", "ms_per_record", "wall_s", "peak_rss_mb", "loc_err_p50", "wt_err_p50")
 
@@ -57,4 +59,42 @@ def test_traced_result_exits_one_and_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert str(traced) in err and "ms_per_record" in err
+    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def _bad_missing(tmp_path):
+    return tmp_path / "missing.json"
+
+
+def _bad_not_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    return path
+
+
+def _bad_no_field(field):
+    def make(tmp_path):
+        path = _fake_result(tmp_path / f"no-{field}.json", 0, 1.27)
+        result = json.loads(path.read_text())
+        del result[field]
+        path.write_text(json.dumps(result))
+        return path
+    return make
+
+
+@pytest.mark.parametrize(
+    "make_bad",
+    [_bad_missing, _bad_not_object, _bad_no_field("check"), _bad_no_field("workload"),
+     _bad_no_field("metrics")],
+    ids=["missing-file", "not-an-object", "no-check", "no-workload", "no-metrics"],
+)
+def test_bad_result_file_exits_one_and_writes_nothing(tmp_path, capsys, make_bad):
+    bench_fold = _load()
+    good = _fake_result(tmp_path / "a.json", 0, 1.27)
+    bad = make_bad(tmp_path)
+    argv = ["--commit", "aaa", "--out-dir", str(tmp_path), str(good), str(bad)]
+    assert bench_fold.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
     assert not list(tmp_path.glob("BENCH_*.json"))

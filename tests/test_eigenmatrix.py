@@ -25,7 +25,7 @@ from spikerec import eigenmatrix, make_method
 from spikerec.errors import (
     AllTruncated, DomainError, IllConditionedShiftWarning, NonFinite, RankDeficient,
 )
-from spikerec.kernels import CollocationSystem, Observations, SampleSet, SpikeSignal
+from spikerec.kernels import Observations, SampleSet, SpikeSignal
 from spikerec.experiments import load_preset
 
 
@@ -34,9 +34,9 @@ def random_complex(rng, shape):
 
 
 def unitary_system(rng, n, nodes):
-    """CollocationSystem whose normalized matrix is exactly unitary."""
+    """(G-hat, nodes) with G-hat exactly unitary."""
     q, _ = np.linalg.qr(random_complex(rng, (n, n)))
-    return CollocationSystem(normalized=q, nodes=np.asarray(nodes, dtype=complex))
+    return q, np.asarray(nodes, dtype=complex)
 
 
 class TestBuildEigenmatrix:
@@ -45,50 +45,47 @@ class TestBuildEigenmatrix:
         # the operator is similar to the node diagonal
         rng = np.random.default_rng(0)
         nodes = np.array([0.3, -0.7, 0.1 + 0.5j, 1.2, -0.4j])
-        sys_ = unitary_system(rng, 5, nodes)
-        M = build_eigenmatrix(sys_, 1e-8, compute_svd(sys_.normalized))
+        q, lam = unitary_system(rng, 5, nodes)
+        M = build_eigenmatrix(q, lam, 1e-8, compute_svd(q))
         ev = np.sort_complex(np.linalg.eigvals(M))
         np.testing.assert_allclose(ev, np.sort_complex(nodes), atol=1e-12)
 
     def test_rank_one(self):
         q = np.array([[0.6], [0.8]], dtype=complex)
-        sys_ = CollocationSystem(normalized=q, nodes=np.array([2.0 + 0j]))
-        M = build_eigenmatrix(sys_, 1e-8, compute_svd(sys_.normalized))
+        M = build_eigenmatrix(q, np.array([2.0 + 0j]), 1e-8, compute_svd(q))
         np.testing.assert_allclose(M, 2.0 * q @ q.conj().T, atol=1e-14)
 
     def test_all_truncated(self):
         rng = np.random.default_rng(1)
-        sys_ = unitary_system(rng, 3, [0.1, 0.2, 0.3])
+        q, lam = unitary_system(rng, 3, [0.1, 0.2, 0.3])
         with pytest.raises(AllTruncated):
-            build_eigenmatrix(sys_, 10.0, compute_svd(sys_.normalized))
+            build_eigenmatrix(q, lam, 10.0, compute_svd(q))
 
     def test_bad_tol(self):
         rng = np.random.default_rng(2)
-        sys_ = unitary_system(rng, 3, [0.1, 0.2, 0.3])
+        q, lam = unitary_system(rng, 3, [0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
-            build_eigenmatrix(sys_, 0.0, compute_svd(sys_.normalized))
+            build_eigenmatrix(q, lam, 0.0, compute_svd(q))
 
     def test_near_diagonalization_on_disk_benchmark(self):
         # the operator should nearly satisfy M G-hat = G-hat Lambda
         preset = load_preset("rational")
-        system = build_collocation_system(
-            preset.kernel, preset.samples(0), preset.nodes()
-        )
+        nodes = preset.nodes()
+        G = build_collocation_system(preset.kernel, preset.samples(0), nodes)
         for tol_factor, bound in ((1e-4, 1e-3), (1e-8, 1e-5)):
-            tol = tol_factor * np.linalg.norm(system.normalized, "fro")
-            M = build_eigenmatrix(system, tol, compute_svd(system.normalized))
+            tol = tol_factor * np.linalg.norm(G, "fro")
+            M = build_eigenmatrix(G, nodes.nodes, tol, compute_svd(G))
             resid = np.linalg.norm(
-                M @ system.normalized - system.normalized * system.nodes,
-                "fro",
-            ) / np.linalg.norm(system.normalized, "fro")
+                M @ G - G * nodes.nodes, "fro"
+            ) / np.linalg.norm(G, "fro")
             assert resid <= bound
 
 
 class TestKrylov:
     def test_original_trivial_l1(self):
         rng = np.random.default_rng(3)
-        sys_ = unitary_system(rng, 4, [0.1, 0.2, 0.3, 0.4])
-        M = build_eigenmatrix(sys_, 1e-8, compute_svd(sys_.normalized))
+        q, lam = unitary_system(rng, 4, [0.1, 0.2, 0.3, 0.4])
+        M = build_eigenmatrix(q, lam, 1e-8, compute_svd(q))
         u = random_complex(rng, 4)
         A = krylov_original(M, u, 1)
         assert A.shape == (4, 2)
@@ -103,8 +100,8 @@ class TestKrylov:
 
     def test_original_recurrence(self):
         rng = np.random.default_rng(4)
-        sys_ = unitary_system(rng, 6, rng.uniform(-1, 1, 6))
-        M = build_eigenmatrix(sys_, 1e-8, compute_svd(sys_.normalized))
+        q, lam = unitary_system(rng, 6, rng.uniform(-1, 1, 6))
+        M = build_eigenmatrix(q, lam, 1e-8, compute_svd(q))
         u = random_complex(rng, 6)
         A = krylov_original(M, u, 5)
         for k in range(1, 6):
@@ -119,9 +116,9 @@ class TestKrylov:
 
     def test_regularized_zero_v(self):
         rng = np.random.default_rng(5)
-        sys_ = unitary_system(rng, 4, [0.1, 0.2, 0.3, 0.4])
+        q, lam = unitary_system(rng, 4, [0.1, 0.2, 0.3, 0.4])
         u = random_complex(rng, 4)
-        A = krylov_regularized(sys_, np.zeros(4), u, 1)
+        A = krylov_regularized(q, lam, np.zeros(4), u, 1)
         np.testing.assert_array_equal(A[:, 0], u)
         np.testing.assert_array_equal(A[:, 1], 0)
 
@@ -129,23 +126,24 @@ class TestKrylov:
         # columns 1..l must equal G-hat diag(v) [a, a^2, ..., a^l]
         rng = np.random.default_rng(6)
         preset = load_preset("fourier")
-        system = build_collocation_system(
-            preset.kernel, preset.samples(1), preset.nodes()
-        )
-        v = random_complex(rng, system.n_a)
-        u = random_complex(rng, system.n_s)
+        nodes = preset.nodes()
+        G = build_collocation_system(preset.kernel, preset.samples(1), nodes)
+        nodes = nodes.nodes
+        n_s, n_a = G.shape
+        v = random_complex(rng, n_a)
+        u = random_complex(rng, n_s)
         l = 7
-        A = krylov_regularized(system, v, u, l)
-        powers = system.nodes[:, None] ** np.arange(1, l + 1)
-        expected = system.normalized @ (v[:, None] * powers)
+        A = krylov_regularized(G, nodes, v, u, l)
+        powers = nodes[:, None] ** np.arange(1, l + 1)
+        expected = G @ (v[:, None] * powers)
         np.testing.assert_allclose(A[:, 1:], expected, rtol=1e-13)
         np.testing.assert_array_equal(A[:, 0], u)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(7)
-        sys_ = unitary_system(rng, 4, [0.1, 0.2, 0.3, 0.4])
-        with pytest.raises(ValueError):
-            krylov_regularized(sys_, np.zeros(3), np.zeros(4), 2)
+        q, lam = unitary_system(rng, 4, [0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(ValueError, match="length n_a"):
+            krylov_regularized(q, lam, np.zeros(3), np.zeros(4), 2)
 
     def test_equivalence_on_consistent_data(self):
         # for a full-column-rank system and u in its range, the two Krylov
@@ -154,12 +152,11 @@ class TestKrylov:
         B = random_complex(rng, (20, 6))
         B /= np.linalg.norm(B, axis=0)
         nodes = rng.uniform(-1, 1, 6).astype(complex)
-        sys_ = CollocationSystem(normalized=B, nodes=nodes)
         v = random_complex(rng, 6)
         u = B @ v
-        M = build_eigenmatrix(sys_, 1e-10, compute_svd(sys_.normalized))
+        M = build_eigenmatrix(B, nodes, 1e-10, compute_svd(B))
         A1 = krylov_original(M, u, 5)
-        A2 = krylov_regularized(sys_, v, u, 5)
+        A2 = krylov_regularized(B, nodes, v, u, 5)
         np.testing.assert_allclose(A1, A2, rtol=1e-9, atol=1e-12)
 
 
@@ -387,7 +384,7 @@ class TestPreparedSystem:
         prepared = PreparedSystem(preset.kernel, samples, preset.nodes())
         for _ in range(2):
             with pytest.raises(DomainError):
-                prepared.system
+                prepared.normalized
         u = synthesize(preset.kernel, preset.truth, samples)
         errors = []
         for method in ("lcurve", "pinv"):

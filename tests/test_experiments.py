@@ -235,7 +235,7 @@ def _containers() -> dict:
     samples = preset.samples(0)
     prepared = PreparedSystem(preset.kernel, samples, preset.nodes())
     obs = add_noise(synthesize(preset.kernel, preset.truth, samples), 1e-2, 0)
-    built = [preset.truth, samples, prepared.nodes, obs, prepared.system, prepared.factors,
+    built = [preset.truth, samples, prepared.nodes, obs, prepared.factors,
              tikhonov_solve(prepared.factors, obs.noisy, 1e-3), prepared,
              eigenmatrix.recover(make_method("pinv"), prepared, obs)]
     return {type(c).__name__: c for c in built}
@@ -243,14 +243,26 @@ def _containers() -> dict:
 
 @pytest.mark.parametrize(
     "name",
-    ["SpikeSignal", "SampleSet", "CollocationNodes", "Observations", "CollocationSystem",
-     "SvdFactors", "TikhonovSolution", "PreparedSystem", "RecoveryResult"],
+    ["SpikeSignal", "SampleSet", "CollocationNodes", "Observations", "SvdFactors",
+     "TikhonovSolution", "PreparedSystem", "RecoveryResult"],
 )
 def test_array_containers_compare_by_identity(name):
     # field-wise == on arrays has no single truth value, so it would raise
     first, second = _containers()[name], _containers()[name]
     assert first == first and first != second
     assert len({first, second, first}) == 2
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch):
+    # every fenced python block of the README's "Library" section runs as
+    # written, so a signature change cannot break a documented call unseen
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("name", ["pinv", "lcurve"])
@@ -280,8 +292,8 @@ class TestRunOne:
     @pytest.mark.parametrize(
         "method",
         [
-            (make_method("lcurve"), "tikhonov", "rhs must be finite"),
-            (make_method("fixed-gamma", gamma=0.1), "tikhonov", "rhs must be finite"),
+            (make_method("lcurve"), "tikhonov", "rhs must have a finite 2-norm"),
+            (make_method("fixed-gamma", gamma=0.1), "tikhonov", "rhs must have a finite 2-norm"),
             (make_method("pinv"), "krylov", "u must be finite"),
         ],
     )

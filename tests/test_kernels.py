@@ -228,24 +228,24 @@ class TestCollocationSystem:
     def test_unit_column_norms(self):
         samples = load_preset("fourier").samples(0)
         nodes = Domain("interval", -1, 1).nodes(32)
-        sys_ = build_collocation_system(FOURIER, samples, nodes)
+        normalized = build_collocation_system(FOURIER, samples, nodes)
         np.testing.assert_allclose(
-            np.linalg.norm(sys_.normalized, axis=0), 1.0, atol=1e-14
+            np.linalg.norm(normalized, axis=0), 1.0, atol=1e-14
         )
 
     def test_one_by_one(self):
-        sys_ = build_collocation_system(
+        normalized = build_collocation_system(
             FOURIER, SampleSet([0.0]), CollocationNodes([0.3])
         )
-        np.testing.assert_allclose(sys_.normalized, [[1.0]])
+        np.testing.assert_allclose(normalized, [[1.0]])
 
     def test_norms_reconstruct_matrix(self):
         samples = load_preset("rational").samples(17)
         nodes = UNIT_DISK.nodes(32)
-        sys_ = build_collocation_system(RATIONAL, samples, nodes)
+        normalized = build_collocation_system(RATIONAL, samples, nodes)
         G = eval_kernel(RATIONAL, samples.points[:, None], nodes.nodes[None, :])
         np.testing.assert_allclose(
-            sys_.normalized, G / np.linalg.norm(G, axis=0), rtol=1e-14
+            normalized, G / np.linalg.norm(G, axis=0), rtol=1e-14
         )
 
     def test_zero_column_rejected(self):

@@ -134,7 +134,7 @@ def test_real_arithmetic_is_the_same_maths(preset_id, method, sigma_index, seed)
     cplx, cplx_obs = _promoted(preset, seed, sigma, np.complex128)
     for prepared, dtype in ((real, np.float64), (cplx, np.complex128)):
         factors = prepared.factors
-        arrays = (prepared.system.normalized, factors.left, factors.right, factors.singular_values)
+        arrays = (prepared.normalized, factors.left, factors.right, factors.singular_values)
         assert [a.dtype for a in arrays] == [dtype, dtype, dtype, np.float64]
     config = make_method(method)
     got = recover(config, real, real_obs)
@@ -151,7 +151,7 @@ def test_complex_kernels_stay_complex(preset_id):
     # complex samples (rational, spectral) or a complex kernel (fourier)
     preset = load_preset(preset_id)
     prepared = PreparedSystem(preset.kernel, preset.samples(0), preset.nodes())
-    arrays = (prepared.system.normalized, prepared.factors.left, prepared.factors.right)
+    arrays = (prepared.normalized, prepared.factors.left, prepared.factors.right)
     assert [a.dtype for a in arrays] == [np.complex128] * 3
 
 

@@ -123,6 +123,19 @@ class TestTikhonov:
         with pytest.raises(NonFinite, match="finite"):
             solve(f, b)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solve", [lambda f, b: tikhonov_solve(f, b, 0.1), lcurve_select])
+    def test_overflowed_norm_rejected(self, solve):
+        # every entry is finite (largest |u| about 7e160), but the 2-norm
+        # overflows float64; no RuntimeWarning may fire on the way
+        preset = load_preset("fourier")
+        samples = preset.samples(0)
+        obs = add_noise(synthesize(preset.kernel, preset.truth, samples), 1e160, 0)
+        assert np.isfinite(obs.noisy).all()
+        f = compute_svd(build_collocation_system(preset.kernel, samples, preset.nodes()))
+        with pytest.raises(NonFinite, match="rhs must have a finite 2-norm, not inf"):
+            solve(f, obs.noisy)
+
     def test_matches_dense_normal_equation(self):
         rng = np.random.default_rng(4)
         # keep cond(A*A + gamma^2 I) modest so the dense oracle is trustworthy
@@ -435,9 +448,9 @@ def curvature_cases():
     for pid, sigma in (("spectral", 1e-2), ("laplace", 1e-3)):
         preset = load_preset(pid)
         samples = preset.samples(0)
-        system = build_collocation_system(preset.kernel, samples, preset.nodes())
+        normalized = build_collocation_system(preset.kernel, samples, preset.nodes())
         u = synthesize(preset.kernel, preset.truth, samples)
-        cases.append((compute_svd(system.normalized), add_noise(u, sigma, 0).noisy))
+        cases.append((compute_svd(normalized), add_noise(u, sigma, 0).noisy))
     return cases
 
 

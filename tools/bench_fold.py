@@ -9,8 +9,9 @@ before the next one overwrites it).  Each run becomes one entry appended to
 seed and trace flag, the median, q1, q3 and n of every end-to-end metric
 that BENCHMARK.json names, and whether every record matched the reference
 (`correct`) and how many runs failed (`failed`).  `--out-dir` writes the
-files elsewhere.  A file without those metrics, as a `--trace 1` run is,
-exits 1 before any file is written.
+files elsewhere.  A file that cannot be read, is not a JSON object, or lacks
+a field or one of those metrics (a `--trace 1` run has none) exits 1 with
+one `error:` line that names it, before any file is written.
 """
 
 from __future__ import annotations
@@ -51,8 +52,14 @@ def fold(paths, commit: str, out_dir: Path) -> list:
     for path in paths:
         try:
             result = json.loads(Path(path).read_text())
+            if not isinstance(result, dict):
+                raise ValueError("not a JSON object")
             runs.setdefault(result["workload"], []).append(entry(result, commit, names))
-        except ValueError as exc:
+        except OSError as exc:
+            raise ValueError(f"{path}: {exc.strerror or exc}") from None
+        except KeyError as exc:
+            raise ValueError(f"{path}: no {exc.args[0]!r} field") from None
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from None
     written = []
     for workload, entries in sorted(runs.items()):
