@@ -112,9 +112,8 @@ class RecoveryResult:
 def build_eigenmatrix(
     normalized: np.ndarray, nodes: np.ndarray, tol: float, factors: SvdFactors
 ) -> np.ndarray:
-    """M = G-hat Lambda G-hat^dagger (n_s x n_s) for G-hat = `normalized` and
-    Lambda = diag(`nodes`), the pseudo-inverse truncated at tol from
-    `factors`, the SVD of G-hat."""
+    """M = G-hat Lambda G-hat^dagger for G-hat = `normalized`, Lambda = diag(`nodes`),
+    the pseudo-inverse truncated at tol; `factors` is the SVD of `normalized`."""
     left, s, right = truncate(factors, tol)
     pinv = (right / s) @ left.conj().T
     return normalized @ (nodes[:, None] * pinv)
