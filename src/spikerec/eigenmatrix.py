@@ -189,9 +189,7 @@ def recover_weights(
 ) -> np.ndarray:
     """Minimum-norm least squares for the weights at the recovered locations."""
     design = eval_kernel(kernel, samples.points[:, None], as_float(locations)[None, :])
-    factors = compute_svd(design)
-    tol = WEIGHT_PINV_TOL * factors.singular_values[0]
-    return truncated_pinv_apply(factors, tol, as_float(u_noisy))
+    return truncated_pinv_apply(design, WEIGHT_PINV_TOL, u_noisy)
 
 
 def recover(config: MethodConfig, prepared: PreparedSystem, obs: Observations) -> RecoveryResult:

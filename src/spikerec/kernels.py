@@ -18,6 +18,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -253,8 +254,16 @@ def add_noise(u: np.ndarray, sigma: float, rng_seed: int) -> Observations:
     if not (is_finite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, not {sigma!r}")
     u = as_float(u)
-    z = _rng(rng_seed, stream=1).standard_normal(u.size)
+    z = _noise(rng_seed, u.size)
     return Observations(noisy=u * (1.0 + sigma * z), sigma=sigma, seed=rng_seed)
+
+
+@lru_cache(maxsize=1)
+def _noise(seed: int, n: int) -> np.ndarray:
+    """`add_noise`'s Z, drawn once per (seed, n) for all of a seed's sigmas; read-only."""
+    z = _rng(seed, stream=1).standard_normal(n)
+    z.setflags(write=False)
+    return z
 
 
 def build_collocation_system(

@@ -53,6 +53,15 @@ def match_and_error(truth: SpikeSignal, recovered) -> ErrorPair:
     if rec_locs.size != truth.n_x or rec_wts.size != truth.n_x:
         raise ValueError(f"truth has {truth.n_x} spikes, recovery has {rec_locs.size}")
     perm = _best_permutation(truth.locations, rec_locs)
-    loc_err = float(np.linalg.norm(truth.locations - rec_locs[perm]))
-    wt_err = float(np.linalg.norm(truth.weights - rec_wts[perm]))
+    loc_err = _norm(truth.locations - rec_locs[perm])
+    wt_err = _norm(truth.weights - rec_wts[perm])
     return ErrorPair(location_error=loc_err, weight_error=wt_err)
+
+
+def _norm(x: np.ndarray) -> float:
+    """2-norm of x, taken again scaled by max |x| if it overflows on finite entries."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x)
+        if norm == np.inf and np.isfinite(x).all():
+            norm = (big := np.abs(x).max()) * np.linalg.norm(x / big)
+    return float(norm)

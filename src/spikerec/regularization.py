@@ -1,9 +1,9 @@
-"""SVD-based solvers for the ill-conditioned collocation system.
+"""Solvers for the ill-conditioned collocation system and the weight design.
 
-Truncated pseudo-inverse application, Tikhonov filtering, and L-curve
-selection of the regularization parameter.  Everything works on a fixed
-SVD of the (column-normalized) collocation matrix, so repeated solves at
-different gamma are cheap.  Real data is factored and filtered in real
+Tikhonov filtering and L-curve selection work on a fixed SVD of the
+(column-normalized) collocation matrix, so solves at many gamma are cheap;
+the truncated least-squares solve takes its matrix, one LAPACK call that
+forms no pseudo-inverse.  Real data is factored and filtered in real
 arithmetic, complex data in complex arithmetic.
 """
 
@@ -63,18 +63,23 @@ class TikhonovSolution:
     flagged: bool = False
 
 
-def compute_svd(matrix: np.ndarray) -> SvdFactors:
-    """Thin SVD, dropping singular values below SVD_DROP * sigma_1; NonFinite for NaN
-    or inf, RankDeficient for a zero matrix, ConvergenceFailure if LAPACK fails."""
+def _lapack(routine, matrix, *args, **kwargs):
+    """routine(as_float(matrix), ...), raising `compute_svd`'s three errors."""
     matrix = as_float(matrix)
     if not np.all(np.isfinite(matrix)):
         raise NonFinite("matrix must be finite-valued")
-    try:
-        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure("SVD failed to converge") from exc
-    if s.size == 0 or s[0] == 0:
+    if not np.any(matrix):  # sigma_1 = 0; an empty matrix too
         raise RankDeficient("matrix is identically zero")
+    try:
+        return routine(matrix, *args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"{routine.__name__.upper()} failed to converge") from exc
+
+
+def compute_svd(matrix: np.ndarray) -> SvdFactors:
+    """Thin SVD, dropping singular values below SVD_DROP * sigma_1; NonFinite for NaN
+    or inf, RankDeficient for a zero matrix, ConvergenceFailure if LAPACK fails."""
+    u, s, vh = _lapack(np.linalg.svd, matrix, full_matrices=False)
     keep = s > SVD_DROP * s[0]
     r = int(np.count_nonzero(keep))
     return SvdFactors(left=u[:, :r], singular_values=s[:r], right=vh[:r].conj().T)
@@ -95,10 +100,13 @@ def truncate(factors: SvdFactors, tol: float) -> tuple:
     return factors.left[:, keep], s[keep], factors.right[:, keep]
 
 
-def truncated_pinv_apply(factors: SvdFactors, tol: float, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution restricted to singular directions with sigma >= tol."""
-    left, s, right = truncate(factors, tol)
-    return right @ ((left.conj().T @ rhs) / s)
+def truncated_pinv_apply(matrix: np.ndarray, rtol: float, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least squares for matrix @ v = rhs over the directions with sigma >
+    rtol * sigma_1, by one LAPACK gelsd call (it drops sigma <= rtol * sigma_1, where
+    `truncate` drops sigma < tol); ValueError unless 0 < rtol < 1, errors as `compute_svd`."""
+    if not 0 < rtol < 1:
+        raise ValueError(f"rtol must lie in (0, 1), not {rtol!r}")
+    return _lapack(np.linalg.lstsq, matrix, as_float(rhs), rcond=rtol)[0]
 
 
 def _project(factors: SvdFactors, rhs: np.ndarray) -> tuple:

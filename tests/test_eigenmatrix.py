@@ -263,17 +263,17 @@ class TestRecoverWeights:
         ],
     )
     def test_unusable_design_is_degenerate(self, design):
-        # compute_svd's own failure, not re-wrapped: stage `weights` says where
+        # truncated_pinv_apply's own failure, not re-wrapped: stage `weights` says where
         kernel, locations, error = design
         samples = SampleSet(np.array([1.5, 2.0, 3.0]))
         with pytest.raises(error):
             recover_weights(kernel, samples, np.array(locations), np.ones(3))
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(design):
+        def broken(design, rtol, rhs):
             raise TypeError("not a numerical failure")
 
-        monkeypatch.setattr(eigenmatrix, "compute_svd", broken)
+        monkeypatch.setattr(eigenmatrix, "truncated_pinv_apply", broken)
         samples = SampleSet(np.array([2.0, 3.0, 4.0]))
         with pytest.raises(TypeError, match="not a numerical failure"):
             recover_weights(self.KERNEL, samples, np.array([0.5]), np.ones(3))

@@ -395,8 +395,8 @@ class TestRunSweep:
         )
         assert all(r.failed_stage is None for r in recs)
         assert calls["build_collocation_system"] == builds
-        # one collocation SVD per build, one weight SVD per record
-        assert calls["compute_svd"] == builds + len(recs)
+        # one collocation SVD per build; the weight solves factor no SVD of their own
+        assert calls["compute_svd"] == builds
         # pinv's M is built once per system, not once per pinv record
         assert calls["build_eigenmatrix"] == builds
 

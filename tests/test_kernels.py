@@ -223,6 +223,33 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.ones(4), sigma, 0)
 
+    def test_one_draw_per_seed(self, monkeypatch):
+        # a seed's sigmas share one Z, drawn by one generator and bit for bit
+        # the fresh draw of its noise substream
+        drawn = []
+
+        def counted(seed, stream, _real=kernels._rng):
+            drawn.append((seed, stream))
+            return _real(seed, stream)
+
+        monkeypatch.setattr(kernels, "_rng", counted)
+        kernels._noise.cache_clear()
+        u = np.arange(1.0, 9.0) + 0.5j
+        noisy = [add_noise(u, sigma, 5).noisy for sigma in (1e-3, 1e-2, 1e-1)]
+        assert drawn == [(5, 1)]
+        z = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(1,))).standard_normal(8)
+        for sigma, got in zip((1e-3, 1e-2, 1e-1), noisy):
+            assert np.array_equal(got, u * (1.0 + sigma * z))
+        add_noise(u, 0.1, 6)
+        add_noise(u[:4], 0.1, 6)
+        assert drawn == [(5, 1), (6, 1), (6, 1)]  # a new seed or length draws anew
+
+    def test_shared_draw_is_read_only(self):
+        obs = add_noise(np.ones(3), 0.1, 0)
+        with pytest.raises(ValueError):
+            kernels._noise(0, 3)[0] = 0.0
+        assert obs.noisy.flags.writeable  # the observation is the caller's own
+
 
 class TestCollocationSystem:
     def test_unit_column_norms(self):

@@ -3,7 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from spikerec import ErrorPair, SpikeSignal, match_and_error
+from spikerec import ErrorPair, SpikeSignal, load_preset, make_method, match_and_error, run_sweep
 from spikerec.metrics import _best_permutation
 
 
@@ -130,3 +130,26 @@ class TestMatchAndError:
         truth = SpikeSignal([0.3], [2.0])
         errs = match_and_error(truth, Recovered([0.3], [2.0]))
         assert isinstance(errs, ErrorPair)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_weights_whose_squares_overflow(self):
+        # |w|^2 near 1e319 overflows float64; the error itself is finite
+        truth = SpikeSignal([0.1, 0.5], [1.0, 2.0])
+        errs = match_and_error(truth, Recovered([0.1, 0.5], [3e159 + 1.0, -4e159j + 2.0]))
+        assert errs.weight_error == pytest.approx(5e159, rel=1e-15)
+        assert errs.location_error == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_error_past_float_max_is_inf(self):
+        # sqrt(2) * 1.5e308 does not fit a float64: inf, and still no warning
+        truth = SpikeSignal([0.1, 0.5], [0.0, 0.0])
+        errs = match_and_error(truth, Recovered([0.1, 0.5], [1.5e308, 1.5e308]))
+        assert errs.weight_error == np.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_at_huge_noise_reports_finite_weight_error(self):
+        # pinv solves this fourier record with finite weights near 1e159
+        (rec,) = run_sweep(load_preset("fourier"), [make_method("pinv")], seeds=[0], sigmas=[1e160])
+        assert rec.failed_stage is None
+        assert max(abs(complex(*w)) for w in rec.weights) > 1e158
+        assert 1e158 < rec.weight_error < np.inf

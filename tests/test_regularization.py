@@ -12,7 +12,7 @@ from scipy.optimize import brent
 import spikerec
 import spikerec.eigenmatrix
 import spikerec.regularization
-from spikerec.errors import AllTruncated, FlatCurveWarning, NonFinite, RankDeficient
+from spikerec.errors import ConvergenceFailure, FlatCurveWarning, NonFinite, RankDeficient
 from spikerec.experiments import load_preset, make_method, run_sweep
 from spikerec.kernels import PRESET_IDS, add_noise, build_collocation_system, synthesize
 from spikerec.regularization import (
@@ -26,6 +26,7 @@ from spikerec.regularization import (
     compute_svd,
     lcurve_select,
     tikhonov_solve,
+    truncate,
     truncated_pinv_apply,
 )
 
@@ -68,36 +69,81 @@ class TestComputeSvd:
 
 class TestTruncatedPinv:
     def test_identity(self):
-        f = compute_svd(np.eye(4))
         b = np.arange(4.0)
-        np.testing.assert_allclose(truncated_pinv_apply(f, 0.5, b), b)
+        np.testing.assert_allclose(truncated_pinv_apply(np.eye(4), 0.5, b), b)
 
     def test_small_direction_truncated(self):
-        f = compute_svd(np.diag([1.0, 1e-6]))
-        v = truncated_pinv_apply(f, 1e-3, np.array([1.0, 1.0]))
+        v = truncated_pinv_apply(np.diag([1.0, 1e-6]), 1e-3, np.array([1.0, 1.0]))
         np.testing.assert_allclose(v, [1.0, 0.0], atol=1e-15)
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(2)
         A = matrix_with_spectrum(rng, 8, 4, np.geomspace(1, 0.1, 4))
         b = random_complex(rng, 8)
-        f = compute_svd(A)
-        v = truncated_pinv_apply(f, 1e-3, b)
+        v = truncated_pinv_apply(A, 1e-3, b)
         oracle = np.linalg.solve(A.conj().T @ A, A.conj().T @ b)
         np.testing.assert_allclose(v, oracle, rtol=1e-10)
 
     def test_all_truncated(self):
-        f = compute_svd(np.diag([1.0, 0.5]))
-        with pytest.raises(AllTruncated):
-            truncated_pinv_apply(f, 10.0, np.ones(2))
+        # rtol is relative to sigma_1, so sigma_1 itself is never truncated;
+        # an rtol that would drop it (or keep everything) is a bad argument
+        for rtol in (1.0, 10.0, 0.0, -1e-12, float("nan")):
+            with pytest.raises(ValueError, match="rtol"):
+                truncated_pinv_apply(np.diag([1.0, 0.5]), rtol, np.ones(2))
 
     def test_pinv_left_inverse_on_full_rank(self):
         rng = np.random.default_rng(3)
         A = matrix_with_spectrum(rng, 20, 6, np.geomspace(1, 1e-2, 6))
         w = random_complex(rng, 6)
-        f = compute_svd(A)
-        v = truncated_pinv_apply(f, 1e-8, A @ w)
+        v = truncated_pinv_apply(A, 1e-8, A @ w)
         np.testing.assert_allclose(v, w, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "matrix, error",
+        [(np.array([[np.inf, 1.0]]), NonFinite), (np.zeros((3, 2)), RankDeficient)],
+    )
+    def test_unusable_matrix_rejected(self, matrix, error):
+        with pytest.raises(error):
+            truncated_pinv_apply(matrix, 1e-12, np.ones(matrix.shape[0]))
+
+    def test_lapack_failure_is_convergence_failure(self, monkeypatch):
+        def lstsq(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        with pytest.raises(ConvergenceFailure, match="LSTSQ failed to converge"):
+            truncated_pinv_apply(np.eye(2), 1e-12, np.ones(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 8), st.integers(0, 12)),
+        kept=st.integers(1, 8),
+        rtol_exp=st.integers(4, 12),
+        scale_exp=st.integers(-3, 3),
+        complex_=st.booleans(),
+    )
+    def test_equals_svd_reference(self, seed, shape, kept, rtol_exp, scale_exp, complex_):
+        # kept singular values in [1e-2, 1] * sigma_1, dropped ones (or zeros)
+        # at most rtol * sigma_1 / 100: a clear gap around the cutoff, so both
+        # solvers keep the same directions and agree to round-off
+        rng = np.random.default_rng(seed)
+        n_a, extra = shape
+        n_s, kept, rtol = n_a + extra, min(kept, n_a), 10.0**-rtol_exp
+        draw = (lambda size: random_complex(rng, size)) if complex_ else rng.standard_normal
+        s = np.concatenate((
+            [1.0], rng.uniform(1e-2, 1.0, kept - 1),
+            rng.uniform(0.0, rtol / 100, n_a - kept) * rng.integers(0, 2, n_a - kept),
+        ))
+        u, _, vh = np.linalg.svd(draw((n_s, n_a)), full_matrices=False)
+        A = (u * (10.0**scale_exp * s)) @ vh
+        b = draw(n_s)
+        f = compute_svd(A)
+        left, sv, right = truncate(f, rtol * f.singular_values[0])
+        reference = right @ ((left.conj().T @ b) / sv)  # V_t (U_t^H b / s_t)
+        v = truncated_pinv_apply(A, rtol, b)
+        assert v.dtype == reference.dtype
+        assert np.linalg.norm(v - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
 class TestTikhonov:
