@@ -53,15 +53,11 @@ def match_and_error(truth: SpikeSignal, recovered) -> ErrorPair:
     if rec_locs.size != truth.n_x or rec_wts.size != truth.n_x:
         raise ValueError(f"truth has {truth.n_x} spikes, recovery has {rec_locs.size}")
     perm = _best_permutation(truth.locations, rec_locs)
-    loc_err = _norm(truth.locations - rec_locs[perm])
-    wt_err = _norm(truth.weights - rec_wts[perm])
-    return ErrorPair(location_error=loc_err, weight_error=wt_err)
-
-
-def _norm(x: np.ndarray) -> float:
-    """2-norm of x, taken again scaled by max |x| if it overflows on finite entries."""
+    errs = []
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(x)
-        if norm == np.inf and np.isfinite(x).all():
-            norm = (big := np.abs(x).max()) * np.linalg.norm(x / big)
-    return float(norm)
+        for diff in (truth.locations - rec_locs[perm], truth.weights - rec_wts[perm]):
+            norm = np.linalg.norm(diff)
+            if norm == np.inf and np.isfinite(diff).all():  # finite, but the squares overflowed
+                norm = (big := np.abs(diff).max()) * np.linalg.norm(diff / big)
+            errs.append(float(norm))
+    return ErrorPair(*errs)

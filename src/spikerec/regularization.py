@@ -64,12 +64,10 @@ class TikhonovSolution:
 
 
 def _lapack(routine, matrix, *args, **kwargs):
-    """routine(as_float(matrix), ...), raising `compute_svd`'s three errors."""
+    """routine(as_float(matrix), ...); NonFinite for NaN or inf, ConvergenceFailure if it fails."""
     matrix = as_float(matrix)
     if not np.all(np.isfinite(matrix)):
         raise NonFinite("matrix must be finite-valued")
-    if not np.any(matrix):  # sigma_1 = 0; an empty matrix too
-        raise RankDeficient("matrix is identically zero")
     try:
         return routine(matrix, *args, **kwargs)
     except np.linalg.LinAlgError as exc:
@@ -80,6 +78,8 @@ def compute_svd(matrix: np.ndarray) -> SvdFactors:
     """Thin SVD, dropping singular values below SVD_DROP * sigma_1; NonFinite for NaN
     or inf, RankDeficient for a zero matrix, ConvergenceFailure if LAPACK fails."""
     u, s, vh = _lapack(np.linalg.svd, matrix, full_matrices=False)
+    if s.size == 0 or s[0] == 0:
+        raise RankDeficient("matrix is identically zero")
     keep = s > SVD_DROP * s[0]
     r = int(np.count_nonzero(keep))
     return SvdFactors(left=u[:, :r], singular_values=s[:r], right=vh[:r].conj().T)
@@ -106,7 +106,10 @@ def truncated_pinv_apply(matrix: np.ndarray, rtol: float, rhs: np.ndarray) -> np
     `truncate` drops sigma < tol); ValueError unless 0 < rtol < 1, errors as `compute_svd`."""
     if not 0 < rtol < 1:
         raise ValueError(f"rtol must lie in (0, 1), not {rtol!r}")
-    return _lapack(np.linalg.lstsq, matrix, as_float(rhs), rcond=rtol)[0]
+    v, _, _, s = _lapack(np.linalg.lstsq, matrix, as_float(rhs), rcond=rtol)
+    if s.size == 0 or s[0] == 0:
+        raise RankDeficient("matrix is identically zero")
+    return v
 
 
 def _project(factors: SvdFactors, rhs: np.ndarray) -> tuple:
